@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-gate trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke check fmt clean
+.PHONY: all build test bench bench-smoke bench-gate trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke rotabench-smoke check fmt clean
 
 all: build
 
@@ -260,9 +260,27 @@ serve-metrics-smoke: build
 	  || { echo "serve-metrics-smoke: --metrics-out file does not lint"; exit 1; }; \
 	echo "serve-metrics-smoke: OK"
 
+# Benchmark-program smoke: run the repository benchmark (rotabench/)
+# briefly with a fixed seed — the churn serve workload and the
+# sim-faults simulator workload untraced, and churn traced (the
+# in-process per-layer replay).  Exit 0 means the benchmark's own checks
+# passed: its Replica-built correctness oracle agreed with every daemon
+# verdict, the WAL re-audited clean, the daemon drained, and the live
+# watchdog verified every simulator decision.  No number is gated here.
+rotabench-smoke: build
+	@log=$$(mktemp /tmp/rota-rotabench-smoke.XXXXXX.log); \
+	trap 'rm -f "$$log"' EXIT; \
+	for leg in "churn 0" "sim-faults 0" "churn 1"; do \
+	  set -- $$leg; \
+	  bash rotabench/run.sh --workload $$1 --seed 1 --seconds 3 --trace $$2 \
+	    >"$$log" 2>&1 \
+	    || { echo "rotabench-smoke: $$1 --trace $$2 failed"; cat "$$log"; exit 1; }; \
+	done; \
+	echo "rotabench-smoke: OK"
+
 # What CI runs.  `dune fmt` is included only when ocamlformat is
 # installed — the pinned toolchain image ships without it.
-check: build test trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke bench-gate
+check: build test trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke rotabench-smoke bench-gate
 	@if command -v ocamlformat >/dev/null 2>&1; then \
 	  dune build @fmt; \
 	else \

@@ -216,50 +216,65 @@ let bench_admission_scale =
               | Error e -> failwith e));
     ]
 
-(* --- server: the daemon's decide path ------------------------------------------ *)
+(* --- server: the daemon's request path ----------------------------------------- *)
 
-(* The serve daemon's per-request cost with the socket and the fsync
-   taken out: parse the wire line, decide through the replica, encode
-   the WAL records, frame the response.  The fsync is deliberately
-   excluded — group commit amortizes it across a batch, so the
-   per-request cost the daemon's RTT is built from is exactly this
-   path.  Each decide iteration admits and then releases the same
-   probe, so the warmed ledger returns to its starting size and every
-   iteration measures the identical transition. *)
-let bench_server_decide =
-  let module Wire = Rota_server.Wire in
-  let module Replica = Rota_server.Replica in
-  let module Events = Rota_obs.Events in
-  let module Binary = Rota_obs.Binary in
-  let module Certificate = Rota.Certificate in
+module Wire = Rota_server.Wire
+module Replica = Rota_server.Replica
+
+(* The fixture both server groups time: a replica warmed with 24
+   admissions over a two-node scenario, and one probe request that admits
+   against it and is then released, so the ledger returns to its warmed
+   size and every iteration measures the identical transition.  The probe
+   has its own id (a scenario id would collide with a warmed admission
+   and time a duplicate reject), and setup checks both outcomes. *)
+module Serve_probe = struct
   let params =
     { Scenario.default_params with seed = 31; arrivals = 24; horizon = 400;
       locations = 2; slack = 3.0 }
-  in
+
+  let probe =
+    let c = List.hd (Scenario.computations { params with seed = 78; arrivals = 1 }) in
+    Computation.make ~id:"probe" ~start:c.Computation.start
+      ~deadline:c.Computation.deadline c.Computation.programs
+
+  let admit_op = Wire.Admit { now = 0; computation = probe; budget_ms = None }
+  let release_op = Wire.Release { now = 0; id = probe.Computation.id }
+
   let warmed () =
     let r = Replica.create Admission.Rota in
     ignore
       (Replica.apply r
          (Wire.Join
             { now = 0;
-              terms = Certificate.rects_of_set (Scenario.capacity_of params) }));
+              terms = Rota.Certificate.rects_of_set (Scenario.capacity_of params) }));
     List.iter
       (fun c ->
         ignore
           (Replica.apply r (Wire.Admit { now = 0; computation = c; budget_ms = None })))
       (Scenario.computations params);
+    (match Replica.apply r admit_op with
+    | _, Wire.Decided { action = "admit"; _ } -> ()
+    | _ -> failwith "bench setup: the probe must admit against the warmed ledger");
+    (match Replica.apply r release_op with
+    | _, Wire.Released { existed = true; _ } -> ()
+    | _ -> failwith "bench setup: the probe's release must find it live");
     r
-  in
-  let probe =
-    List.hd (Scenario.computations { params with seed = 77; arrivals = 1 })
-  in
-  let admit_op = Wire.Admit { now = 0; computation = probe; budget_ms = None } in
-  let release_op = Wire.Release { now = 0; id = probe.Computation.id } in
+
+  let stamp payload =
+    { Rota_obs.Events.seq = 1; run = 1; sim = Some 0; wall_s = 0.; payload }
+end
+
+(* The serve daemon's per-request cost with the socket and the fsync
+   taken out: parse the wire line, decide through the replica, encode
+   the WAL records, frame the response.  The fsync is deliberately
+   excluded — group commit amortizes it across a batch, so the
+   per-request cost the daemon's RTT is built from is exactly this
+   path. *)
+let bench_server_decide =
+  let open Serve_probe in
+  let module Binary = Rota_obs.Binary in
   let admit_line =
     Wire.request_to_line { Wire.tag = Rota_obs.Json.Null; op = admit_op }
-  in
-  let stamp payload =
-    { Events.seq = 1; run = 1; sim = Some 0; wall_s = 0.; payload }
   in
   Test.make_grouped ~name:"server/decide-rtt"
     [
@@ -301,43 +316,14 @@ let bench_server_decide =
 (* The cost of the observability plane on the daemon's per-request path:
    the identical decide transition run with the metrics registry enabled
    (counters, latency histograms, admit-slack observation — what `rota
-   serve` does by default) and disabled (`--no-telemetry`).  The gate
-   holds the instrumented run within 10% of bare: telemetry must stay a
-   rounding error next to the decision itself. *)
+   serve` does by default) and disabled (`--no-telemetry`).  The ratio
+   of the two rows is the plane's overhead on an admitting request; the
+   gate checks each row against its own baseline. *)
 let bench_telemetry_overhead =
-  let module Wire = Rota_server.Wire in
-  let module Replica = Rota_server.Replica in
+  let open Serve_probe in
   let module Telemetry = Rota_server.Telemetry in
   let module Metrics = Rota_obs.Metrics in
-  let module Events = Rota_obs.Events in
   let module Binary = Rota_obs.Binary in
-  let module Certificate = Rota.Certificate in
-  let params =
-    { Scenario.default_params with seed = 31; arrivals = 24; horizon = 400;
-      locations = 2; slack = 3.0 }
-  in
-  let warmed () =
-    let r = Replica.create Admission.Rota in
-    ignore
-      (Replica.apply r
-         (Wire.Join
-            { now = 0;
-              terms = Certificate.rects_of_set (Scenario.capacity_of params) }));
-    List.iter
-      (fun c ->
-        ignore
-          (Replica.apply r (Wire.Admit { now = 0; computation = c; budget_ms = None })))
-      (Scenario.computations params);
-    r
-  in
-  let probe =
-    List.hd (Scenario.computations { params with seed = 77; arrivals = 1 })
-  in
-  let admit_op = Wire.Admit { now = 0; computation = probe; budget_ms = None } in
-  let release_op = Wire.Release { now = 0; id = probe.Computation.id } in
-  let stamp payload =
-    { Events.seq = 1; run = 1; sim = Some 0; wall_s = 0.; payload }
-  in
   (* One request exactly as the daemon runs it; [enabled] is flipped
      inside the measured closure so both arms pay the same flag cost. *)
   let request_path enabled =
@@ -350,16 +336,13 @@ let bench_telemetry_overhead =
       let payloads, _reply = Replica.apply ~cid:"bench-1" r admit_op in
       let t1 = Unix.gettimeofday () in
       Metrics.observe Telemetry.queue_wait 1e-4;
-      (match admit_op with
-      | Wire.Admit { computation; _ } ->
-          List.iter
-            (function
-              | Events.Decision { certificate; _ } ->
-                  Telemetry.observe_admit_slack
-                    ~deadline:computation.Computation.deadline certificate
-              | _ -> ())
-            payloads
-      | _ -> ());
+      List.iter
+        (function
+          | Rota_obs.Events.Decision { certificate; _ } ->
+              Telemetry.observe_admit_slack ~deadline:probe.Computation.deadline
+                certificate
+          | _ -> ())
+        payloads;
       Buffer.clear buf;
       List.iter (fun p -> Binary.encode buf (stamp p)) payloads;
       Metrics.observe Telemetry.rtt (t1 -. t0);
@@ -491,8 +474,15 @@ let bench_obs_overhead =
            sim = Some 7;
            wall_s = 1754500000.0625;
            payload =
-             Rota_obs.Events.Admitted
-               { id = "c001"; policy = "rota"; reason = "reservation committed" };
+             Rota_obs.Events.Decision
+               {
+                 id = "c001";
+                 policy = "rota";
+                 action = "admit";
+                 slug = "reservation-committed";
+                 certificate = Rota_obs.Json.Null;
+                 cid = None;
+               };
          }
        in
        let per_line = Rota_obs.Sink.jsonl devnull in

@@ -276,7 +276,7 @@ let step t (e : Events.t) =
   | Events.Run_started { label } ->
       t.runs <- t.runs + 1;
       reset_ledger led
-        ~policy:(Option.value (Summary.label_field "policy" label) ~default:"");
+        ~policy:(Option.value (Events.label_field "policy" label) ~default:"");
       None
   | Events.Capacity_joined { terms; _ } ->
       apply_terms led terms ~f:Resource_set.union;
@@ -333,7 +333,7 @@ let step t (e : Events.t) =
      verdicts, and a watchdog observing its own emission must not
      recurse. *)
   | Events.Audit_divergence _
-  | Events.Admitted _ | Events.Rejected _ | Events.Shed _
+  | Events.Shed _
   | Events.Repaired _ | Events.Anomaly _ | Events.Span _
   | Events.Metric_sample _ | Events.Hist_sample _ | Events.Unknown _ ->
       None

@@ -74,16 +74,6 @@ let put_payload b (p : Events.payload) =
       tag 2;
       put_int b quantity;
       put_json b terms
-  | Events.Admitted { id; policy; reason } ->
-      tag 3;
-      put_string b id;
-      put_string b policy;
-      put_string b reason
-  | Events.Rejected { id; policy; reason } ->
-      tag 4;
-      put_string b id;
-      put_string b policy;
-      put_string b reason
   | Events.Decision { id; policy; action; slug; certificate; cid } ->
       tag 5;
       put_string b id;
@@ -277,16 +267,15 @@ let get_payload src : Events.payload =
       let quantity = get_int src in
       let terms = get_json src in
       Capacity_joined { quantity; terms }
-  | 3 ->
+  | (3 | 4) as t ->
+      (* Legacy admitted/rejected records (tags retired, never reused):
+         decoded as the same [Unknown] the JSONL reader yields. *)
       let id = get_string src in
       let policy = get_string src in
       let reason = get_string src in
-      Admitted { id; policy; reason }
-  | 4 ->
-      let id = get_string src in
-      let policy = get_string src in
-      let reason = get_string src in
-      Rejected { id; policy; reason }
+      Events.legacy
+        ~kind:(if t = 3 then "admitted" else "rejected")
+        ~id ~policy ~reason
   | 5 ->
       let id = get_string src in
       let policy = get_string src in

@@ -131,14 +131,6 @@ let export events =
           instant e
             (Printf.sprintf "decision %s %s" action id)
             [ ("policy", Json.String policy); ("slug", Json.String slug) ]
-      | Events.Admitted { id; policy; reason } ->
-          instant e
-            (Printf.sprintf "admitted %s" id)
-            [ ("policy", Json.String policy); ("reason", Json.String reason) ]
-      | Events.Rejected { id; policy; reason } ->
-          instant e
-            (Printf.sprintf "rejected %s" id)
-            [ ("policy", Json.String policy); ("reason", Json.String reason) ]
       | Events.Shed { id; slug; reason } ->
           instant e
             (Printf.sprintf "shed %s" id)

@@ -1,8 +1,6 @@
 type payload =
   | Run_started of { label : string }
   | Capacity_joined of { quantity : int; terms : Json.t }
-  | Admitted of { id : string; policy : string; reason : string }
-  | Rejected of { id : string; policy : string; reason : string }
   | Decision of {
       id : string;
       policy : string;
@@ -58,8 +56,6 @@ type t = {
 let kind = function
   | Run_started _ -> "run-started"
   | Capacity_joined _ -> "capacity-joined"
-  | Admitted _ -> "admitted"
-  | Rejected _ -> "rejected"
   | Decision _ -> "decision"
   | Shed _ -> "shed"
   | Completed _ -> "completed"
@@ -76,6 +72,30 @@ let kind = function
   | Audit_divergence _ -> "audit-divergence"
   | Unknown { kind; _ } -> kind
 
+(* "engine policy=rota dispatch=reservation horizon=200" -> Some "rota" *)
+let label_field key label =
+  List.find_map
+    (fun tok ->
+      match String.index_opt tok '=' with
+      | Some i when String.sub tok 0 i = key ->
+          Some (String.sub tok (i + 1) (String.length tok - i - 1))
+      | _ -> None)
+    (String.split_on_char ' ' label)
+
+let legacy_kind = function "admitted" | "rejected" -> true | _ -> false
+
+let legacy ~kind ~id ~policy ~reason =
+  Unknown
+    {
+      kind;
+      fields =
+        [
+          ("id", Json.String id);
+          ("policy", Json.String policy);
+          ("reason", Json.String reason);
+        ];
+    }
+
 (* Optional payload fields (the decision-provenance additions) are
    serialized only when present, so events parsed from legacy traces —
    where the defaults kick in — re-serialize to the same line and the
@@ -86,12 +106,6 @@ let payload_fields = function
   | Run_started { label } -> [ ("label", Json.String label) ]
   | Capacity_joined { quantity; terms } ->
       ("quantity", Json.Int quantity) :: opt_json "terms" terms []
-  | Admitted { id; policy; reason } | Rejected { id; policy; reason } ->
-      [
-        ("id", Json.String id);
-        ("policy", Json.String policy);
-        ("reason", Json.String reason);
-      ]
   | Decision { id; policy; action; slug; certificate; cid } ->
       ("id", Json.String id)
       :: ("policy", Json.String policy)
@@ -226,13 +240,14 @@ let payload_of_json ~strict ~wall_s json =
       let* slug = field "slug" Json.to_str json in
       let* reason = field "reason" Json.to_str json in
       Ok (Shed { id; slug; reason })
-  | "admitted" | "rejected" ->
+  | k when legacy_kind k ->
+      (* Legacy kinds: every decision also wrote one of these before the
+         decision record became the only one.  Still well-formed (strict
+         mode accepts them), read as [Unknown] so they pass through. *)
       let* id = field "id" Json.to_str json in
       let* policy = field "policy" Json.to_str json in
       let* reason = field "reason" Json.to_str json in
-      Ok
-        (if k = "admitted" then Admitted { id; policy; reason }
-         else Rejected { id; policy; reason })
+      Ok (legacy ~kind:k ~id ~policy ~reason)
   | "completed" ->
       let* id = field "id" Json.to_str json in
       Ok (Completed { id })
@@ -358,10 +373,6 @@ let pp_payload ~sim ppf payload =
       Format.fprintf ppf "%a run started: %s" pp_sim sim label
   | Capacity_joined { quantity; terms = _ } ->
       Format.fprintf ppf "%a capacity +%d" pp_sim sim quantity
-  | Admitted { id; policy = _; reason = _ } ->
-      Format.fprintf ppf "%a admitted %s" pp_sim sim id
-  | Rejected { id; policy = _; reason } ->
-      Format.fprintf ppf "%a rejected %s (%s)" pp_sim sim id reason
   | Decision { id; policy = _; action; slug; certificate; cid = _ } ->
       Format.fprintf ppf "%a decision %s %s [%s]%s" pp_sim sim action id slug
         (if certificate = Json.Null then "" else " certified")

@@ -19,11 +19,10 @@ type payload =
           simulated times restart from this point. *)
   | Capacity_joined of { quantity : int; terms : Json.t }
       (** Resources joined the open system; [quantity] is the total
-          usable quantity within the run's horizon.  [terms] is the
+          quantity of the joined slice from the join on (older
+          simulator traces clipped it to the run's horizon).  [terms] is the
           joined slice as profile rectangles (the certificate [rect]
           list encoding), [Null] in traces from older binaries. *)
-  | Admitted of { id : string; policy : string; reason : string }
-  | Rejected of { id : string; policy : string; reason : string }
   | Decision of {
       id : string;
       policy : string;
@@ -45,9 +44,10 @@ type payload =
               by older binaries (omitted on the wire when absent). *)
     }
       (** Decision provenance: every admission-control verdict (admit,
-          reject, evict, repair) with its machine-checkable certificate.
-          Emitted alongside the legacy {!Admitted}/{!Rejected} records,
-          which remain the human-readable telling. *)
+          reject, evict, repair) with its machine-checkable certificate —
+          the one record per decision.  Traces written before it became
+          the only one also carry a legacy [admitted]/[rejected] record
+          per verdict; readers decode those as {!Unknown}. *)
   | Shed of { id : string; slug : string; reason : string }
       (** The serve daemon refused this request {e without} deciding it —
           load shedding, not admission control.  [slug] is the stable
@@ -133,7 +133,8 @@ type payload =
           the auditor itself ignores this kind, so re-auditing a
           watchdogged trace reproduces the original verdicts. *)
   | Unknown of { kind : string; fields : (string * Json.t) list }
-      (** A kind this binary does not know (lenient mode only).
+      (** A kind this binary does not know (lenient mode only), or a
+          legacy [admitted]/[rejected] record (accepted in both modes).
           [fields] holds every non-envelope field verbatim, so the
           record re-serializes unchanged. *)
 
@@ -146,8 +147,21 @@ type t = {
 }
 
 val kind : payload -> string
-(** The schema's [kind] discriminator ("run-started", "admitted", ...);
+(** The schema's [kind] discriminator ("run-started", "decision", ...);
     for {!Unknown} the preserved original kind. *)
+
+val label_field : string -> string -> string option
+(** [label_field key label] finds a [key=value] token in a
+    {!Run_started} label (["engine policy=rota horizon=200"]). *)
+
+val legacy_kind : string -> bool
+(** Kinds older binaries wrote and this one reads as {!Unknown} in
+    every mode: [admitted] and [rejected], the per-decision records the
+    [decision] record replaced. *)
+
+val legacy : kind:string -> id:string -> policy:string -> reason:string -> payload
+(** The {!Unknown} a legacy [admitted]/[rejected] record decodes to, in
+    either trace format. *)
 
 val payload_fields : payload -> (string * Json.t) list
 (** The payload's own JSON fields (everything {!to_json} adds beyond the

@@ -32,7 +32,7 @@ let jsonl ?(flush_every = 1) oc =
   }
 
 (* Crash safety for buffered sinks: if the process unwinds without
-   anyone calling [close] — an observer raised out of the engine, a
+   anyone calling [close] — another sink raised out of the engine, a
    fatal error path, plain [exit] — the buffered tail would vanish
    and leave a torn trace.  Flush (and close, releasing the fd) from
    [at_exit]; the [closed] guard makes the handler a no-op after a

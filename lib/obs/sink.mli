@@ -28,7 +28,7 @@ val jsonl : ?flush_every:int -> out_channel -> t
 val jsonl_file : ?flush_every:int -> string -> t
 (** Opens (truncating) [path]; [close] flushes and closes the file and
     is idempotent.  The sink also registers an [at_exit] flush+close,
-    so even when the process unwinds without closing (an observer
+    so even when the process unwinds without closing (a teed sink
     raising out of a run, a fatal exit) the buffered tail reaches disk
     and the trace stays [rota trace validate]-clean. *)
 

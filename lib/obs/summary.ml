@@ -54,16 +54,6 @@ let admit_rate r =
   let o = offered r in
   if o = 0 then 0. else float_of_int r.admitted /. float_of_int o
 
-(* "engine policy=rota dispatch=reservation horizon=200" -> Some "rota" *)
-let label_field key label =
-  List.find_map
-    (fun tok ->
-      match String.index_opt tok '=' with
-      | Some i when String.sub tok 0 i = key ->
-          Some (String.sub tok (i + 1) (String.length tok - i - 1))
-      | _ -> None)
-    (String.split_on_char ' ' label)
-
 (* Nearest-rank quantile of a sorted array; 0 when empty. *)
 let sorted_quantile a q =
   let n = Array.length a in
@@ -156,19 +146,6 @@ let of_events ?(top = 10) events =
       | Events.Run_started { label } -> a.a_label <- label
       | Events.Capacity_joined { quantity; _ } ->
           a.a_capacity <- a.a_capacity + quantity
-      | Events.Admitted { id; _ } ->
-          a.a_admitted <- a.a_admitted + 1;
-          Option.iter
-            (fun t -> Hashtbl.replace admit_time (e.Events.run, id) t)
-            e.Events.sim
-      (* Bucketed by the same slug the metrics counters use
-         (admission/reject_reason.<slug>), so the two tellings agree.
-         Counted from the legacy Rejected record, not the Decision
-         record that newer traces emit alongside it — counting both
-         would double every reject. *)
-      | Events.Rejected { reason; _ } ->
-          a.a_rejected <- a.a_rejected + 1;
-          merge_reasons a.a_reject_reasons [ (Slug.of_reason reason, 1) ]
       | Events.Completed { id } ->
           a.a_completed <- a.a_completed + 1;
           Option.iter
@@ -224,9 +201,21 @@ let of_events ?(top = 10) events =
       (* Certificate coverage: a trace from an older binary carries
          decisions without certificates (or none at all) — the summary
          makes that gap visible without running a full audit. *)
-      | Events.Decision { certificate; _ } ->
+      | Events.Decision { id; action; slug; certificate; _ } -> (
           a.a_decisions <- a.a_decisions + 1;
-          if certificate <> Json.Null then a.a_certified <- a.a_certified + 1
+          if certificate <> Json.Null then a.a_certified <- a.a_certified + 1;
+          match action with
+          | "admit" ->
+              a.a_admitted <- a.a_admitted + 1;
+              Option.iter
+                (fun t -> Hashtbl.replace admit_time (e.Events.run, id) t)
+                e.Events.sim
+          (* Bucketed by the same slug the metrics counters use
+             (admission/reject_reason.<slug>), so the two tellings agree. *)
+          | "reject" ->
+              a.a_rejected <- a.a_rejected + 1;
+              merge_reasons a.a_reject_reasons [ (slug, 1) ]
+          | _ -> ())
       | Events.Audit_divergence _ -> a.a_divergences <- a.a_divergences + 1
       (* Fault/repair lifecycle events don't change admission or
          completion counts; the repair counters reach the summary as
@@ -247,9 +236,9 @@ let of_events ?(top = 10) events =
         {
           run_id;
           label = a.a_label;
-          policy = Option.value (label_field "policy" a.a_label) ~default:"";
+          policy = Option.value (Events.label_field "policy" a.a_label) ~default:"";
           horizon =
-            Option.bind (label_field "horizon" a.a_label) int_of_string_opt;
+            Option.bind (Events.label_field "horizon" a.a_label) int_of_string_opt;
           capacity = a.a_capacity;
           admitted = a.a_admitted;
           rejected = a.a_rejected;

@@ -84,9 +84,6 @@ type t = {
 val of_events : ?top:int -> Events.t list -> t
 (** [top] (default 10) bounds {!field-slowest}. *)
 
-val label_field : string -> string -> string option
-(** [label_field key label] finds a [key=value] token in a run label. *)
-
 (** {1 Per-policy aggregation}
 
     [rota trace diff] compares two traces policy-by-policy; runs with

@@ -62,8 +62,10 @@ let render ?(width = 60) events =
       | Events.Run_started { label } -> r.r_label <- label
       | Events.Capacity_joined { quantity; _ } ->
           r.r_joins <- (sim, quantity) :: r.r_joins
-      | Events.Admitted { id; _ } -> (comp r id).c_admit <- Some sim
-      | Events.Rejected { id; _ } -> (comp r id).c_reject <- Some sim
+      | Events.Decision { id; action = "admit"; _ } ->
+          (comp r id).c_admit <- Some sim
+      | Events.Decision { id; action = "reject"; _ } ->
+          (comp r id).c_reject <- Some sim
       | Events.Completed { id } -> (comp r id).c_end <- Some (sim, 'C')
       | Events.Killed { id; _ } -> (comp r id).c_end <- Some (sim, 'X')
       (* A preemption ends the computation's lane like a kill, just
@@ -83,7 +85,7 @@ let render ?(width = 60) events =
       let comps = List.rev r.r_comps in
       let horizon =
         let from_label =
-          Option.bind (Summary.label_field "horizon" r.r_label) int_of_string_opt
+          Option.bind (Events.label_field "horizon" r.r_label) int_of_string_opt
         in
         max 1 (max (Option.value from_label ~default:0) (r.r_max_sim + 1))
       in

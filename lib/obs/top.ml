@@ -78,8 +78,8 @@ let step t (e : Events.t) =
   | Events.Run_started { label } ->
       t.runs <- t.runs + 1;
       t.run_label <- label
-  | Events.Admitted _ -> t.admitted <- t.admitted + 1
-  | Events.Rejected _ -> t.rejected <- t.rejected + 1
+  | Events.Decision { action = "admit"; _ } -> t.admitted <- t.admitted + 1
+  | Events.Decision { action = "reject"; _ } -> t.rejected <- t.rejected + 1
   | Events.Completed _ ->
       t.completed <- t.completed + 1;
       Option.iter

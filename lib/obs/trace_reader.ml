@@ -382,7 +382,7 @@ let validate_file ?(max_errors = 20) path =
                | Binary.Malformed msg -> report n "%s" msg
                | Binary.Event e ->
                    (match e.Events.payload with
-                   | Events.Unknown { kind; _ } ->
+                   | Events.Unknown { kind; _ } when not (Events.legacy_kind kind) ->
                        report n "unknown event kind %S" kind
                    | _ -> ());
                    check_event n e;

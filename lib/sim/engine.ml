@@ -96,43 +96,6 @@ let head_wants (p : State.pending) xi =
         (fun (a : Requirement.amount) -> Located_type.equal a.Requirement.ltype xi)
         head
 
-type event =
-  | Capacity_joined of { at : Time.t; quantity : int }
-  | Admitted of { id : string; at : Time.t; reason : string }
-  | Rejected of { id : string; at : Time.t; reason : string }
-  | Completed of { id : string; at : Time.t }
-  | Killed of { id : string; at : Time.t; owed : int }
-
-let event_time = function
-  | Capacity_joined { at; _ }
-  | Admitted { at; _ }
-  | Rejected { at; _ }
-  | Completed { at; _ }
-  | Killed { at; _ } ->
-      at
-
-let payload_of_event ~policy = function
-  | Capacity_joined { quantity; _ } ->
-      Rota_obs.Events.Capacity_joined { quantity; terms = Rota_obs.Json.Null }
-  | Admitted { id; reason; _ } -> Rota_obs.Events.Admitted { id; policy; reason }
-  | Rejected { id; reason; _ } -> Rota_obs.Events.Rejected { id; policy; reason }
-  | Completed { id; _ } -> Rota_obs.Events.Completed { id }
-  | Killed { id; owed; _ } -> Rota_obs.Events.Killed { id; owed }
-
-(* The capacity slice (or a fault's revoked slice) as profile
-   rectangles, for the trace; [Null] when no tracer is recording, so the
-   untraced path never serializes resource sets. *)
-let terms_json set =
-  if Rota_obs.Tracer.active () then
-    Certificate.rects_to_json (Certificate.rects_of_set set)
-  else Rota_obs.Json.Null
-
-(* One formatting path for engine events: delegate to the telemetry
-   layer's renderer (the policy label does not show in the rendering). *)
-let pp_event ppf e =
-  Rota_obs.Events.pp_payload ~sim:(Some (event_time e)) ppf
-    (payload_of_event ~policy:"" e)
-
 (* --- metrics ------------------------------------------------------------ *)
 
 let m_runs = Rota_obs.Metrics.counter "engine/runs"
@@ -161,8 +124,7 @@ let h_queue_depth =
   Rota_obs.Metrics.histogram ~buckets:depth_buckets "engine/queue_depth_dist"
 
 let run ?(cost_model = Cost_model.default) ?true_cost_model
-    ?(dispatch = Auto) ?(observer = fun (_ : event) -> ()) ?(faults = [])
-    ?(repair = true) ~policy trace =
+    ?(dispatch = Auto) ?(faults = []) ?(repair = true) ~policy trace =
   let true_cost_model = Option.value true_cost_model ~default:cost_model in
   let horizon = Trace.horizon trace in
   let dispatch_used =
@@ -190,7 +152,9 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
   Rota_obs.Metrics.time m_run_s @@ fun () ->
   let events = Event_queue.of_list (Trace.events trace) in
   let state = ref (State.make ~available:Resource_set.empty ~now:0) in
-  let admission = ref (Admission.create ~cost_model policy Resource_set.empty) in
+  (* The admission state machine.  Every controller update goes
+     through it, and so does every record of one. *)
+  let replica = Replica.create ~cost_model policy in
   let outcomes : (string, outcome) Hashtbl.t = Hashtbl.create 64 in
   let arrival_order = ref [] in
   let running : (string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -201,35 +165,11 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
   let bump tbl xi q =
     Hashtbl.replace tbl xi (q + Option.value (Hashtbl.find_opt tbl xi) ~default:0)
   in
-  (* Every run-time notification goes through here: the caller's observer
-     plus the telemetry sink, stamped with simulated time, in one place. *)
-  let notify ?(terms = Rota_obs.Json.Null) e =
-    observer e;
-    let payload =
-      match payload_of_event ~policy:policy_label e with
-      | Rota_obs.Events.Capacity_joined { quantity; terms = _ }
-        when terms <> Rota_obs.Json.Null ->
-          Rota_obs.Events.Capacity_joined { quantity; terms }
-      | p -> p
-    in
-    Rota_obs.Tracer.emit ~sim:(event_time e) payload
-  in
-  (* Decision provenance: one structured record per admission-control
-     verdict, carrying the certificate the decider actually checked.
-     Forcing the lazy certificate serializes schedules, so it happens
-     only when a tracer is recording. *)
-  let emit_decision t ~id ~action ~reason certificate =
+  (* The one recording gate: an untraced run never forces a certificate
+     or serializes a slice. *)
+  let record sim records =
     if Rota_obs.Tracer.active () then
-      Rota_obs.Tracer.emit ~sim:t
-        (Rota_obs.Events.Decision
-           {
-             id;
-             policy = policy_label;
-             action;
-             slug = Rota_obs.Slug.of_reason reason;
-             certificate = Certificate.to_json (Lazy.force certificate);
-             cid = None;
-           })
+      List.iter (Rota_obs.Tracer.emit ~sim) (Lazy.force records)
   in
   (* Fault machinery.  All of it is inert when the plan is empty: the
      queues stay empty, [faults_enabled] gates the extra per-tick
@@ -283,9 +223,8 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
     | Some o when o.finished = None ->
         Hashtbl.replace outcomes id { o with finished = Some at };
         Hashtbl.remove running id;
-        admission := Admission.complete !admission ~computation:id;
         Rota_obs.Metrics.incr m_completions;
-        notify (Completed { id; at })
+        record at (Replica.complete replica id Replica.Finished)
     | Some _ | None -> ()
   in
 
@@ -389,33 +328,35 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
     if !progressed then release_ready rt now
   in
 
-  let process_session_arrival t session =
+  (* An arrival, plain or session, once the replica has decided it:
+     open its outcome and record the decision.  Returns whether it was
+     admitted. *)
+  let arrive t ~id ~deadline ((decision : Admission.outcome), records) =
     incr offered;
     Rota_obs.Metrics.incr m_arrivals;
-    let id = session.Session.id in
     arrival_order := id :: !arrival_order;
-    let adm, decision = Admission.request_session !admission ~now:t session in
-    admission := adm;
+    let admitted = decision.Admission.admitted in
     Hashtbl.replace outcomes id
       {
         computation = id;
         arrived = t;
-        deadline = session.Session.deadline;
-        admitted = decision.Admission.admitted;
-        reject_reason =
-          (if decision.Admission.admitted then None
-           else Some decision.Admission.reason);
+        deadline;
+        admitted;
+        reject_reason = (if admitted then None else Some decision.Admission.reason);
         finished = None;
         unfinished = [];
         faulted = false;
       };
-    (if decision.Admission.admitted then
-       notify (Admitted { id; at = t; reason = decision.Admission.reason })
-     else notify (Rejected { id; at = t; reason = decision.Admission.reason }));
-    emit_decision t ~id
-      ~action:(if decision.Admission.admitted then "admit" else "reject")
-      ~reason:decision.Admission.reason decision.Admission.certificate;
-    if decision.Admission.admitted then begin
+    record t records;
+    admitted
+  in
+
+  let process_session_arrival t session =
+    let id = session.Session.id in
+    if
+      arrive t ~id ~deadline:session.Session.deadline
+        (Replica.admit_session replica session)
+    then begin
       let rt =
         {
           Srt.session;
@@ -436,7 +377,8 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
 
   let process_event t = function
     | Trace.Join theta ->
-        let clipped = Resource_set.truncate_before theta t in
+        let clipped, records = Replica.join replica theta in
+        (* The report counts only what lies within the horizon. *)
         let counted =
           match Interval.make ~start:t ~stop:horizon with
           | Some w ->
@@ -449,43 +391,16 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
         in
         capacity_total := !capacity_total + counted;
         state := State.acquire !state clipped;
-        admission := Admission.add_capacity !admission clipped;
         Rota_obs.Metrics.incr m_capacity_joins;
         Rota_obs.Metrics.add m_capacity_quantity counted;
-        notify ~terms:(terms_json clipped)
-          (Capacity_joined { at = t; quantity = counted })
+        record t records
     | Trace.Arrive_session session -> process_session_arrival t session
     | Trace.Arrive computation ->
-        incr offered;
-        Rota_obs.Metrics.incr m_arrivals;
         let id = computation.Computation.id in
-        arrival_order := id :: !arrival_order;
-        let adm, decision = Admission.request !admission ~now:t computation in
-        admission := adm;
-        let outcome =
-          {
-            computation = id;
-            arrived = t;
-            deadline = computation.Computation.deadline;
-            admitted = decision.Admission.admitted;
-            reject_reason =
-              (if decision.Admission.admitted then None
-               else Some decision.Admission.reason);
-            finished = None;
-            unfinished = [];
-            faulted = false;
-          }
-        in
-        Hashtbl.replace outcomes id outcome;
-        (if decision.Admission.admitted then
-           notify (Admitted { id; at = t; reason = decision.Admission.reason })
-         else
-           notify
-             (Rejected { id; at = t; reason = decision.Admission.reason }));
-        emit_decision t ~id
-          ~action:(if decision.Admission.admitted then "admit" else "reject")
-          ~reason:decision.Admission.reason decision.Admission.certificate;
-        if decision.Admission.admitted then begin
+        if
+          arrive t ~id ~deadline:computation.Computation.deadline
+            (Replica.admit replica computation)
+        then begin
           let conc = Computation.to_concurrent true_cost_model computation in
           let parts =
             List.map2
@@ -508,7 +423,7 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
                  admission layer, so this cannot happen on a healthy run;
                  degrade instead of aborting.  Registering the id keeps
                  its lifecycle intact: the deadline pass will close it
-                 with a Killed notification. *)
+                 with a Killed record. *)
               Hashtbl.replace running id ();
               anomaly ~id ~at:t ("accommodate failed: " ^ e)
         end
@@ -534,10 +449,9 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
       let owed = List.fold_left (fun acc (_, q) -> acc + q) 0 unfinished in
       fs := { !fs with preempted = !fs.preempted + 1 };
       Rota_obs.Metrics.incr m_preempts;
-      Rota_obs.Tracer.emit ~sim:t (Rota_obs.Events.Preempted { id; owed });
+      record t (Replica.complete replica id (Replica.Preempted owed));
       state := State.drop !state ~computation:id;
-      Hashtbl.remove running id;
-      admission := Admission.complete !admission ~computation:id
+      Hashtbl.remove running id
     end
   in
   (* One walk of the repair ladder for one victim; Retry outcomes are
@@ -554,10 +468,10 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
         let v = { Repair.computation = id; window; parts } in
         match
           Rota_obs.Tracer.with_span ~sim:t "engine/repair" (fun () ->
-              Repair.attempt ~attempt !admission ~now:t v)
+              Repair.attempt ~attempt (Replica.controller replica) ~now:t v)
         with
         | Repair.Repaired r ->
-            admission := r.Repair.controller;
+            let records = Replica.repair replica ~id ~attempt r in
             (match r.Repair.rung with
             | Repair.Reaccommodate ->
                 fs := { !fs with reaccommodated = !fs.reaccommodated + 1 }
@@ -575,24 +489,7 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
             if attempt > 0 then
               fs := { !fs with retry_successes = !fs.retry_successes + 1 };
             Rota_obs.Metrics.incr m_repairs;
-            let certificate =
-              if Rota_obs.Tracer.active () then
-                Certificate.to_json r.Repair.certificate
-              else Rota_obs.Json.Null
-            in
-            Rota_obs.Tracer.emit ~sim:t
-              (Rota_obs.Events.Repaired
-                 {
-                   id;
-                   rung = Repair.rung_name r.Repair.rung;
-                   attempt;
-                   certificate;
-                 });
-            emit_decision t ~id ~action:"repair"
-              ~reason:
-                (Printf.sprintf "repaired via %s"
-                   (Repair.rung_name r.Repair.rung))
-              (lazy r.Repair.certificate)
+            record t records
         | Repair.Retry { at; attempt } ->
             fs := { !fs with retries = !fs.retries + 1 };
             Rota_obs.Metrics.incr m_repair_retries;
@@ -600,123 +497,69 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
         | Repair.Preempted _ -> preempt t id
     end
   in
-  (* Commitments evicted by a revocation: mark and announce each one,
-     then run the ladder highest-slack first — when the shrunk residual
-     cannot carry everyone, it is the lowest-slack victims that fall
-     through to preemption ("kill lowest-slack first"). *)
-  let handle_evicted t (evicted : Calendar.entry list) =
-    List.iter
-      (fun (entry : Calendar.entry) ->
-        let id = entry.Calendar.computation in
-        mark_faulted id;
-        fs := { !fs with commitments_revoked = !fs.commitments_revoked + 1 };
-        Rota_obs.Tracer.emit ~sim:t
-          (Rota_obs.Events.Commitment_revoked
-             { id; quantity = Resource_set.total entry.Calendar.reservation }))
-      evicted;
-    (* Second pass, after every revocation above is applied: the evict
-       decisions' digests pin the post-revocation residual, before any
-       repair mutates it. *)
-    if Rota_obs.Tracer.active () then begin
-      let residual = Admission.residual !admission in
-      List.iter
-        (fun (entry : Calendar.entry) ->
-          emit_decision t ~id:entry.Calendar.computation ~action:"evict"
-            ~reason:"commitment evicted by revocation"
-            (lazy
-              (Certificate.of_committed ~theorem:Certificate.T4 ~residual
-                 entry.Calendar.schedules)))
-        evicted
-    end;
-    if repair_enabled then
-      List.filter_map
-        (fun (entry : Calendar.entry) ->
-          let id = entry.Calendar.computation in
-          if Hashtbl.mem active_sessions id then
-            (* A session holds one merged reservation over many staged
-               segments; re-deriving per-segment remainders is beyond the
-               ladder — an evicted session stalls and dies at its
-               deadline. *)
-            None
-          else
-            let parts =
-              List.map
-                (fun (p : State.pending) -> (p.State.actor, p.State.steps))
-                (State.pending_of !state ~computation:id)
-            in
-            let v =
-              { Repair.computation = id; window = entry.Calendar.window; parts }
-            in
-            Some (Repair.slack ~now:t v, id, entry.Calendar.window))
-        evicted
-      |> List.sort (fun (s1, id1, _) (s2, id2, _) ->
-             match compare (s2 : int) s1 with
-             | 0 -> String.compare id1 id2
-             | c -> c)
-      |> List.iter (fun (_, id, window) -> run_repair t ~attempt:0 id window)
-  in
-  (* Withdraw a capacity slice that never announced its leave.  The slice
-     is clipped to what is actually still present from [t] on, so
-     duplicate or late revocations degrade to no-ops instead of driving
-     availability negative. *)
-  let revoke_capacity t ~fault slice =
-    let actual =
-      Resource_set.meet
-        (Resource_set.truncate_before slice t)
-        (Calendar.capacity (Admission.calendar !admission))
-    in
-    let within w = Resource_set.restrict actual w in
-    let lost =
-      match Interval.make ~start:t ~stop:horizon with
-      | Some w -> Resource_set.total (within w)
-      | None -> 0
-    in
-    Rota_obs.Tracer.emit ~sim:t
-      (Rota_obs.Events.Fault_injected
-         { fault; quantity = lost; terms = terms_json actual });
+  (* A capacity leave the replica has applied: settle the report's
+     horizon-clipped accounting and the execution state, then run the
+     ladder over the evicted commitments highest-slack first — when the
+     shrunk residual cannot carry everyone, it is the lowest-slack
+     victims that fall through to preemption ("kill lowest-slack
+     first"). *)
+  let settle_revocation t ((r : Replica.revocation), records) =
+    let actual = r.Replica.removed in
+    record t records;
     if not (Resource_set.is_empty actual) then begin
-      capacity_total := !capacity_total - lost;
-      fs := { !fs with revoked_quantity = !fs.revoked_quantity + lost };
-      Rota_obs.Metrics.add m_revoked lost;
       (match Interval.make ~start:t ~stop:horizon with
       | Some w ->
+          let within = Resource_set.restrict actual w in
+          let lost = Resource_set.total within in
+          capacity_total := !capacity_total - lost;
+          fs := { !fs with revoked_quantity = !fs.revoked_quantity + lost };
+          Rota_obs.Metrics.add m_revoked lost;
           Resource_set.fold
             (fun xi profile () -> bump per_type_capacity xi (-Profile.total profile))
-            (within w) ()
+            within ()
       | None -> ());
       state := State.revoke !state actual;
-      let adm, evicted = Admission.revoke !admission actual in
-      admission := adm;
-      handle_evicted t evicted
+      List.iter
+        (fun (entry : Calendar.entry) ->
+          mark_faulted entry.Calendar.computation;
+          fs := { !fs with commitments_revoked = !fs.commitments_revoked + 1 })
+        r.Replica.evicted;
+      if repair_enabled then
+        List.filter_map
+          (fun (entry : Calendar.entry) ->
+            let id = entry.Calendar.computation in
+            if Hashtbl.mem active_sessions id then
+              (* A session holds one merged reservation over many staged
+                 segments; re-deriving per-segment remainders is beyond
+                 the ladder — an evicted session stalls and dies at its
+                 deadline. *)
+              None
+            else
+              let parts =
+                List.map
+                  (fun (p : State.pending) -> (p.State.actor, p.State.steps))
+                  (State.pending_of !state ~computation:id)
+              in
+              let v =
+                { Repair.computation = id; window = entry.Calendar.window; parts }
+              in
+              Some (Repair.slack ~now:t v, id, entry.Calendar.window))
+          r.Replica.evicted
+        |> List.sort (fun (s1, id1, _) (s2, id2, _) ->
+               match compare (s2 : int) s1 with
+               | 0 -> String.compare id1 id2
+               | c -> c)
+        |> List.iter (fun (_, id, window) -> run_repair t ~attempt:0 id window)
     end
   in
   let apply_fault t kind =
     fs := { !fs with injected = !fs.injected + 1 };
     Rota_obs.Metrics.incr m_faults;
     match (kind : Fault.kind) with
-    | Fault.Revoke slice -> revoke_capacity t ~fault:"revocation" slice
+    | Fault.Revoke slice ->
+        settle_revocation t (Replica.revoke replica ~fault:"revocation" slice)
     | Fault.Blackout { location; until } ->
-        (* Everything located at the node — cpu, memory, and network legs
-           touching it — goes dark for [t, until); capacity declared past
-           [until] survives. *)
-        let slice =
-          match Interval.make ~start:t ~stop:until with
-          | None -> Resource_set.empty
-          | Some w ->
-              Resource_set.fold
-                (fun xi profile acc ->
-                  if
-                    List.exists (Location.equal location)
-                      (Located_type.locations xi)
-                  then
-                    Resource_set.update xi
-                      (fun _ -> Profile.restrict profile w)
-                      acc
-                  else acc)
-                (Calendar.capacity (Admission.calendar !admission))
-                Resource_set.empty
-        in
-        revoke_capacity t ~fault:"blackout" slice
+        settle_revocation t (Replica.blackout replica ~location ~until)
     | Fault.Slowdown { computation = id; factor } ->
         Rota_obs.Tracer.emit ~sim:t
           (Rota_obs.Events.Fault_injected
@@ -755,23 +598,16 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
               let parts = List.rev parts in
               mark_faulted id;
               fs := { !fs with degraded = !fs.degraded + 1 };
-              (* [released]: whether the engine is about to hand the
-                 commitment's reservation back and re-admit the inflated
-                 remainder — the auditor frees the ledger entry iff so. *)
-              Rota_obs.Tracer.emit ~sim:t
-                (Rota_obs.Events.Commitment_degraded
-                   { id; extra; released = repair_enabled });
+              (* With repair on, the committed reservation covers only the
+                 original work: hand it back and re-admit the inflated
+                 remainder through the ladder. *)
+              record t
+                (Replica.degrade replica id ~extra ~released:repair_enabled);
               state := State.drop !state ~computation:id;
               (match State.accommodate_parts !state ~id ~window parts with
               | Ok s -> state := s
               | Error e -> anomaly ~id ~at:t ("slowdown inflate: " ^ e));
-              if repair_enabled then begin
-                (* The committed reservation covers only the original
-                   work; release it and re-admit the inflated remainder
-                   through the ladder. *)
-                admission := Admission.complete !admission ~computation:id;
-                run_repair t ~attempt:0 id window
-              end
+              if repair_enabled then run_repair t ~attempt:0 id window
         end
     | Fault.Rejoin theta ->
         let quantity =
@@ -781,20 +617,20 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
                 (Resource_set.restrict (Resource_set.truncate_before theta t) w)
           | None -> 0
         in
-        (* terms stay Null: the Capacity_joined this forwards to carries
-           the slice. *)
+        (* terms stay Null: the capacity-joined record that follows
+           carries the slice. *)
         Rota_obs.Tracer.emit ~sim:t
           (Rota_obs.Events.Fault_injected
              { fault = "rejoin"; quantity; terms = Rota_obs.Json.Null });
         (* From here on a rejoin is exactly a join: same accounting, same
-           Capacity_joined notification — arriving twice is harmless
-           (capacity just grows twice), which is the point: the engine
-           tolerates an unreliable membership layer's duplicates. *)
+           capacity-joined record — arriving twice is harmless (capacity
+           just grows twice), which is the point: the engine tolerates an
+           unreliable membership layer's duplicates. *)
         process_event t (Trace.Join theta)
   in
 
   let dispatch_reservation t =
-    let calendar = Admission.calendar !admission in
+    let calendar = Admission.calendar (Replica.controller replica) in
     List.iter
       (fun (entry : Calendar.entry) ->
         let is_session = Hashtbl.mem active_sessions entry.Calendar.computation in
@@ -865,7 +701,8 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
       Rota_obs.Metrics.set g_queue depth;
       Rota_obs.Metrics.observe h_queue_depth (float_of_int depth);
       Rota_obs.Metrics.set g_running (Hashtbl.length running);
-      Rota_obs.Metrics.set g_ledger (Admission.ledger_size !admission)
+      Rota_obs.Metrics.set g_ledger
+        (Admission.ledger_size (Replica.controller replica))
     end;
     List.iter (fun (_, e) -> process_event t e) (Event_queue.pop_until events t);
     if faults_enabled then begin
@@ -940,7 +777,8 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
             in
             Rota_obs.Metrics.incr m_kills;
             Rota_obs.Metrics.add m_owed owed;
-            notify (Killed { id; at = Time.succ t; owed });
+            record (Time.succ t)
+              (Replica.complete replica id (Replica.Killed owed));
             (match Hashtbl.find_opt active_sessions id with
             | Some rt ->
                 List.iter
@@ -949,12 +787,11 @@ let run ?(cost_model = Cost_model.default) ?true_cost_model
                   rt.Srt.released;
                 Hashtbl.remove active_sessions id
             | None -> state := State.drop !state ~computation:id);
-            Hashtbl.remove running id;
-            admission := Admission.complete !admission ~computation:id
+            Hashtbl.remove running id
         | Some _ | None -> ())
       (Hashtbl.copy running);
     state := State.tick !state;
-    admission := Admission.advance !admission (Time.succ t)
+    Replica.advance replica (Time.succ t)
   done;
 
   let outcomes_list =

@@ -8,6 +8,23 @@ open Import
     deadline.  It is the ground truth the reasoning layer is judged
     against: ROTA's claim is that everything it admits finishes on time.
 
+    The engine is the {e execution model} over
+    {!Rota_scheduler.Replica}, the admission state machine the serve
+    daemon decides through too.  Every controller update (join, admit,
+    revoke, complete, repair, the clock) is a replica transition, and
+    every [decision], [capacity-joined], [completed], revocation
+    [fault] and [commitment-revoked] record is the one the replica
+    returns — so a simulator trace replays through
+    {!Rota_scheduler.Replica.replay} like a WAL does.  What stays here is
+    execution: the per-computation state, dispatch and consumption,
+    session segment release, which repair rung to try when, deadline
+    kills, and the report's accounting.
+
+    Records go to the installed {!Rota_obs.Tracer} sink (consumers in
+    process install one too, e.g. a {!Rota_obs.Sink.make} callback).
+    Without a sink the run forces no certificate and serializes no
+    slice.
+
     Two dispatch modes:
 
     - {b Reservation}: each admitted computation consumes exactly what its
@@ -22,33 +39,6 @@ open Import
 type dispatch = Auto | Reservation | Shared
 (** [Auto] picks [Reservation] for Rota-family policies and [Shared]
     otherwise. *)
-
-(** Run-time notifications, for observability: the engine reports each
-    admission decision, completion, deadline kill and capacity join as it
-    happens (in simulated-time order).
-
-    Every event is also delivered to the {!Rota_obs.Tracer} sink, if one
-    is installed, as a typed {!Rota_obs.Events.payload} carrying both
-    simulated and wall time — [run ~observer] remains for in-process
-    consumers, the sink is for export (JSONL files, consoles). *)
-type event =
-  | Capacity_joined of { at : Time.t; quantity : int }
-  | Admitted of { id : string; at : Time.t; reason : string }
-  | Rejected of { id : string; at : Time.t; reason : string }
-  | Completed of { id : string; at : Time.t }
-  | Killed of { id : string; at : Time.t; owed : int }
-      (** Deadline kill; [owed] is the total quantity still unfinished. *)
-
-val event_time : event -> Time.t
-(** The simulated time the event happened at. *)
-
-val payload_of_event : policy:string -> event -> Rota_obs.Events.payload
-(** The telemetry-layer rendering of an engine event; [policy] labels
-    the admission decisions. *)
-
-val pp_event : Format.formatter -> event -> unit
-(** Renders via {!Rota_obs.Events.pp_payload}, so the engine and every
-    sink print one event the same way. *)
 
 type outcome = {
   computation : string;
@@ -115,7 +105,10 @@ type report = {
   completed_on_time : int;
   missed_deadlines : int;
   capacity_total : int;
-      (** Total resource quantity offered within the run. *)
+      (** Total resource quantity offered within the run: clipped to the
+          horizon, unlike the [quantity] of the trace's
+          [capacity-joined]/[fault] records, which totals the whole slice
+          from the tick it joined or left. *)
   consumed_total : int;  (** Total quantity actually consumed. *)
   type_stats : type_stat list;
       (** Per-type capacity/consumption breakdown, in type order. *)
@@ -141,7 +134,6 @@ val run :
   ?cost_model:Cost_model.t ->
   ?true_cost_model:Cost_model.t ->
   ?dispatch:dispatch ->
-  ?observer:(event -> unit) ->
   ?faults:Fault.plan ->
   ?repair:bool ->
   policy:Admission.policy ->

@@ -88,8 +88,6 @@ let gen_payload =
       map2
         (fun quantity terms -> Events.Capacity_joined { quantity; terms })
         small_nat gen_json;
-      map3 (fun id policy reason -> Events.Admitted { id; policy; reason }) s s s;
-      map3 (fun id policy reason -> Events.Rejected { id; policy; reason }) s s s;
       (let* id = s and* policy = s and* slug = s in
        let* action = oneofl [ "admit"; "reject"; "evict"; "repair" ] in
        let* certificate = gen_json in

@@ -1,12 +1,23 @@
 (* Integration smoke tests: every experiment of the suite runs to
    completion (their tables go to the captured test log), and the engine's
-   event observer reports a consistent story. *)
+   record stream, observed through a tracer sink, tells a consistent
+   story. *)
 
 open Rota_interval
 open Rota_resource
 open Rota_actor
 open Rota_scheduler
 open Rota_sim
+module Events = Rota_obs.Events
+
+(* Run the engine with a collecting sink installed; the records it
+   delivered, in emission order. *)
+let observe run =
+  let seen = ref [] in
+  Rota_obs.Tracer.install
+    (Rota_obs.Sink.make ~emit:(fun e -> seen := e :: !seen) ~close:ignore);
+  let r = Fun.protect ~finally:Rota_obs.Tracer.uninstall run in
+  (r, List.rev !seen)
 
 let test_experiment id () =
   match Rota_experiments.Experiments.run ~seed:123 id with
@@ -28,7 +39,7 @@ let test_descriptions () =
   Alcotest.(check int) "eleven experiments" 11
     (List.length Rota_experiments.Experiments.all_ids)
 
-(* --- Engine observer -------------------------------------------------------- *)
+(* --- Engine record stream ---------------------------------------------------- *)
 
 let test_engine_observer () =
   let l1 = Location.make "l1" in
@@ -46,41 +57,39 @@ let test_engine_observer () =
         (0, Trace.Arrive (job ~id:"nope" ~deadline:12));
       ]
   in
-  let events = ref [] in
-  let r =
-    Engine.run ~observer:(fun e -> events := e :: !events)
-      ~policy:Admission.Rota trace
+  let r, events =
+    observe (fun () -> Engine.run ~policy:Admission.Rota trace)
   in
-  let events = List.rev !events in
   Alcotest.(check int) "report matches story" 1 r.Engine.completed_on_time;
-  let count pred = List.length (List.filter pred events) in
+  let count pred =
+    List.length (List.filter (fun (e : Events.t) -> pred e.Events.payload) events)
+  in
   Alcotest.(check int) "one join" 1
-    (count (function Engine.Capacity_joined _ -> true | _ -> false));
+    (count (function Events.Capacity_joined _ -> true | _ -> false));
   Alcotest.(check int) "one admit" 1
-    (count (function Engine.Admitted _ -> true | _ -> false));
+    (count (function Events.Decision { action = "admit"; _ } -> true | _ -> false));
   Alcotest.(check int) "one reject" 1
-    (count (function Engine.Rejected _ -> true | _ -> false));
+    (count (function Events.Decision { action = "reject"; _ } -> true | _ -> false));
   Alcotest.(check int) "one completion" 1
-    (count (function Engine.Completed _ -> true | _ -> false));
+    (count (function Events.Completed _ -> true | _ -> false));
   Alcotest.(check int) "no kills" 0
-    (count (function Engine.Killed _ -> true | _ -> false));
-  (* Events are in simulated-time order and printable. *)
+    (count (function Events.Killed _ -> true | _ -> false));
+  (* Records carry simulated time, in order (spans are stamped with their
+     opening time, at exit), and are printable. *)
   let times =
-    List.map
-      (function
-        | Engine.Capacity_joined { at; _ }
-        | Engine.Admitted { at; _ }
-        | Engine.Rejected { at; _ }
-        | Engine.Completed { at; _ }
-        | Engine.Killed { at; _ } ->
-            at)
+    List.filter_map
+      (fun (e : Events.t) ->
+        match e.Events.payload with Events.Span _ -> None | _ -> e.Events.sim)
       events
   in
   Alcotest.(check (list int)) "time ordered" (List.sort compare times) times;
   List.iter
-    (fun e ->
+    (fun (e : Events.t) ->
       Alcotest.(check bool) "printable" true
-        (String.length (Format.asprintf "%a" Engine.pp_event e) > 0))
+        (String.length
+           (Format.asprintf "%a" (Events.pp_payload ~sim:e.Events.sim)
+              e.Events.payload)
+        > 0))
     events
 
 let test_engine_observer_kill () =
@@ -97,18 +106,21 @@ let test_engine_observer_kill () =
         (0, Trace.Arrive job);
       ]
   in
-  let kills = ref [] in
-  let _ =
-    Engine.run
-      ~observer:(function
-        | Engine.Killed { at; owed; _ } -> kills := (at, owed) :: !kills
-        | _ -> ())
-      ~policy:Admission.Optimistic trace
+  let _, events =
+    observe (fun () -> Engine.run ~policy:Admission.Optimistic trace)
   in
-  match !kills with
+  let kills =
+    List.filter_map
+      (fun (e : Events.t) ->
+        match e.Events.payload with
+        | Events.Killed { owed; _ } -> Some (e.Events.sim, owed)
+        | _ -> None)
+      events
+  in
+  match kills with
   | [ (at, owed) ] ->
       (* 24 cpu demanded, 5 consumed by the deadline: 19 owed. *)
-      Alcotest.(check int) "killed at the deadline" 5 at;
+      Alcotest.(check (option int)) "killed at the deadline" (Some 5) at;
       Alcotest.(check int) "owed" 19 owed
   | other -> Alcotest.failf "expected one kill, got %d" (List.length other)
 

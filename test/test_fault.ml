@@ -291,17 +291,20 @@ exception Boom
 let test_sink_survives_raising_observer () =
   let path = Filename.temp_file "rota_fault_sink" ".jsonl" in
   (* A large buffer, so nothing reaches disk until a flush — the crash
-     path must not lose the tail. *)
-  Tracer.install (Sink.jsonl_file ~flush_every:10_000 path);
+     path must not lose the tail.  The in-process consumer teed after
+     the file sink raises on the first admission, crashing the run. *)
+  let raising =
+    Sink.make ~close:ignore ~emit:(fun (e : Events.t) ->
+        match e.Events.payload with
+        | Events.Decision { action = "admit"; _ } -> raise Boom
+        | _ -> ())
+  in
+  Tracer.install (Sink.tee (Sink.jsonl_file ~flush_every:10_000 path) raising);
   let p = params ~seed:23 in
   let trace = Scenario.trace p in
-  let observer = function
-    | Engine.Admitted _ -> raise Boom
-    | _ -> ()
-  in
-  (match Engine.run ~observer ~policy:Admission.Rota trace with
+  (match Engine.run ~policy:Admission.Rota trace with
   | exception Boom -> ()
-  | _ -> Alcotest.fail "observer must raise out of the run");
+  | _ -> Alcotest.fail "the raising sink must raise out of the run");
   (* The process unwinds without a clean shutdown; uninstall stands in
      for the sink's at_exit hook (same close function, same idempotence
      guard).  Everything emitted before the crash must parse cleanly. *)

@@ -217,8 +217,18 @@ let all_payloads =
     Events.Run_started { label = "engine policy=rota" };
     Events.Capacity_joined { quantity = 120; terms = Json.Null };
     Events.Capacity_joined { quantity = 80; terms = rects_json };
-    Events.Admitted { id = "c001"; policy = "rota"; reason = "reservation committed" };
-    Events.Rejected { id = "c002"; policy = "rota"; reason = "no accommodating schedule" };
+    (* Legacy per-decision records: strict mode still accepts them, as
+       pass-through Unknown payloads. *)
+    Events.Unknown
+      {
+        kind = "admitted";
+        fields =
+          [
+            ("id", Json.String "c001");
+            ("policy", Json.String "rota");
+            ("reason", Json.String "reservation committed");
+          ];
+      };
     Events.Decision
       {
         id = "c002";
@@ -353,7 +363,7 @@ let test_jsonl_file_sink () =
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   Tracer.install (Sink.jsonl_file path);
   ignore (Tracer.new_run ~sim:0 "test run");
-  Tracer.emit ~sim:2 (Events.Admitted { id = "a"; policy = "rota"; reason = "ok" });
+  Tracer.emit ~sim:2 (Events.Completed { id = "b" });
   Tracer.emit ~sim:5 (Events.Completed { id = "a" });
   Tracer.uninstall ();
   let ic = open_in path in
@@ -373,7 +383,7 @@ let test_jsonl_file_sink () =
   in
   Alcotest.(check int) "three lines" 3 (List.length events);
   (match List.map (fun e -> Events.kind e.Events.payload) events with
-  | [ "run-started"; "admitted"; "completed" ] -> ()
+  | [ "run-started"; "completed"; "completed" ] -> ()
   | ks -> Alcotest.failf "unexpected kinds: %s" (String.concat "," ks));
   let sims = List.filter_map (fun e -> e.Events.sim) events in
   Alcotest.(check (list int)) "sim times" [ 0; 2; 5 ] sims
@@ -444,11 +454,15 @@ let test_engine_stream_ordered () =
   Alcotest.(check int) "admitted events match reports"
     (total (fun r -> r.Engine.admitted))
     (count (fun e ->
-         match e.Events.payload with Events.Admitted _ -> true | _ -> false));
+         match e.Events.payload with
+         | Events.Decision { action = "admit"; _ } -> true
+         | _ -> false));
   Alcotest.(check int) "rejected events match reports"
     (total (fun r -> r.Engine.rejected))
     (count (fun e ->
-         match e.Events.payload with Events.Rejected _ -> true | _ -> false));
+         match e.Events.payload with
+         | Events.Decision { action = "reject"; _ } -> true
+         | _ -> false));
   (* Conservation: every admitted computation either completes or is
      killed at its deadline. *)
   Alcotest.(check int) "completions + kills = admissions"

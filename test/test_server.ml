@@ -3,7 +3,11 @@
    replica snapshots, and the central durability property — truncating
    the WAL at ANY byte offset and recovering yields exactly the state
    the surviving prefix proves (residual digest and ledger contents),
-   which is what makes an acknowledged decision crash-proof. *)
+   which is what makes an acknowledged decision crash-proof.  Also the
+   one-state-machine properties: simulator traces replay through the
+   same [Replica.replay] as WALs, the daemon decides a serialized
+   simulator run identically, and traces written by older binaries
+   still load. *)
 
 module Interval = Rota_interval.Interval
 module Resource_set = Rota_resource.Resource_set
@@ -19,6 +23,14 @@ module Wire = Rota_server.Wire
 module Shed = Rota_server.Shed
 module Replica = Rota_server.Replica
 module Wal = Rota_server.Wal
+module Engine = Rota_sim.Engine
+module Events = Rota_obs.Events
+module Sink = Rota_obs.Sink
+module Tracer = Rota_obs.Tracer
+module Summary = Rota_obs.Summary
+module Trace_reader = Rota_obs.Trace_reader
+module Audit = Rota_audit.Audit
+module Live = Rota_audit.Audit.Live
 
 let temp_dir prefix =
   let path = Filename.temp_file prefix "" in
@@ -539,6 +551,176 @@ let test_snapshot_tamper_refused () =
   | Ok _ -> Alcotest.fail "tampered snapshot must be refused"
   | Error _ -> ()
 
+(* --- one state machine for simulator and daemon ------------------------------ *)
+
+(* Everything [run] delivers to a tracer sink, in emission order. *)
+let collect run =
+  let seen = ref [] in
+  Tracer.install (Sink.make ~emit:(fun e -> seen := e :: !seen) ~close:ignore);
+  Fun.protect ~finally:Tracer.uninstall run;
+  List.rev !seen
+
+let policy_gen = QCheck.Gen.oneofl Admission.all_policies
+
+let cert_digest certificate =
+  match Certificate.of_json certificate with
+  | Ok c -> c.Certificate.digest
+  | Error m -> failwith ("certificate: " ^ m)
+
+(* QCheck: a simulator trace — any policy, sessions, a random fault plan,
+   repair on or off — folds through [Replica.replay] without error, and
+   before every decision the auditor verifies, the replayed residual is
+   exactly the one that decision's certificate pins. *)
+let prop_replay_engine_traces =
+  QCheck.Test.make ~count:40
+    ~name:"replica: random faulted engine traces replay, digests agree"
+    QCheck.(
+      make
+        ~print:(fun (seed, fault_seed, policy, repair) ->
+          Printf.sprintf "seed=%d fault_seed=%d policy=%s repair=%b" seed
+            fault_seed (Admission.policy_name policy) repair)
+        Gen.(quad (int_bound 1000) (int_bound 100) policy_gen bool))
+    (fun (seed, fault_seed, policy, repair) ->
+      let p = params ~seed in
+      let trace = Scenario.trace_with_sessions p ~sessions:(seed mod 3) in
+      let faults = Scenario.fault_plan ~fault_seed ~intensity:1.5 p in
+      let events =
+        collect (fun () -> ignore (Engine.run ~faults ~repair ~policy trace))
+      in
+      let live = Live.create () and replica = Replica.create policy in
+      List.iter
+        (fun (e : Events.t) ->
+          (match (Live.step live e, e.Events.payload) with
+          | Some { Live.verdict = Live.Verified; _ },
+            Events.Decision { id; action; certificate; _ } ->
+              Option.iter (Replica.advance replica) e.Events.sim;
+              let pinned = cert_digest certificate in
+              if pinned <> "" && pinned <> Replica.residual_digest replica then
+                QCheck.Test.fail_reportf "%s %s at seq %d: pinned %s, replayed %s"
+                  action id e.Events.seq pinned (Replica.residual_digest replica)
+          | _ -> ());
+          match Replica.replay replica e with
+          | Ok () -> ()
+          | Error m ->
+              QCheck.Test.fail_reportf "seq %d (%s): %s" e.Events.seq
+                (Events.kind e.Events.payload) m)
+        events;
+      true)
+
+(* QCheck: serialize a fault-free simulator run into wire operations —
+   its joins, each arrival at its decision tick, a release at each
+   completion or kill — and the daemon's face decides every request
+   exactly as the engine did: same action, same residual digest. *)
+let prop_daemon_matches_simulator =
+  QCheck.Test.make ~count:40 ~name:"replica: daemon and simulator decide the same"
+    QCheck.(
+      make
+        ~print:(fun (seed, policy) ->
+          Printf.sprintf "seed=%d policy=%s" seed (Admission.policy_name policy))
+        Gen.(pair (int_bound 1000) policy_gen))
+    (fun (seed, policy) ->
+      let trace = Scenario.trace (params ~seed) in
+      let arrivals = Hashtbl.create 16 in
+      List.iter
+        (fun (_, (c : Computation.t)) -> Hashtbl.replace arrivals c.Computation.id c)
+        (Trace.arrivals trace);
+      let events = collect (fun () -> ignore (Engine.run ~policy trace)) in
+      let replica = Replica.create policy in
+      let apply now op = snd (Replica.apply replica (op now)) in
+      let decided = ref 0 in
+      List.iter
+        (fun (e : Events.t) ->
+          let now = Option.value e.Events.sim ~default:0 in
+          match e.Events.payload with
+          | Events.Capacity_joined { terms; _ } -> (
+              match Certificate.rects_of_json terms with
+              | Ok terms -> ignore (apply now (fun now -> Wire.Join { now; terms }))
+              | Error m -> QCheck.Test.fail_reportf "join terms: %s" m)
+          | Events.Decision { id; action; certificate; _ } -> (
+              let computation = Hashtbl.find arrivals id in
+              match
+                apply now (fun now ->
+                    Wire.Admit { now; computation; budget_ms = None })
+              with
+              | Wire.Decided d ->
+                  incr decided;
+                  if d.action <> action || d.digest <> cert_digest certificate
+                  then
+                    QCheck.Test.fail_reportf
+                      "%s at t%d: simulator %s, daemon %s (digest %s vs %s)" id
+                      now action d.action (cert_digest certificate) d.digest
+              | _ -> QCheck.Test.fail_reportf "%s: admit not decided" id)
+          | Events.Completed { id } | Events.Killed { id; _ } ->
+              ignore (apply now (fun now -> Wire.Release { now; id }))
+          | _ -> ())
+        events;
+      !decided = Hashtbl.length arrivals)
+
+(* --- traces written before the decision record became the only one ---------- *)
+
+(* Committed fixtures from the previous binary: a faulted, watchdogged
+   [rota simulate] trace over every policy (JSONL and ROTB) and a short
+   [rota serve] WAL (releases and a revocation included).  Each still
+   validates, audits clean, replays, and summarizes to the admitted and
+   rejected counts its legacy per-decision records state. *)
+let legacy_fixtures =
+  [ "legacy-sim.jsonl"; "legacy-sim.rotb"; "legacy-serve-wal.rotb" ]
+
+let test_legacy_fixture name () =
+  let path = Filename.concat "fixtures" name in
+  let v = Trace_reader.validate_file path in
+  Alcotest.(check (list string)) "validates" [] v.Trace_reader.errors;
+  (match Audit.audit_file path with
+  | Ok r ->
+      Alcotest.(check bool) "audits clean" true (Audit.ok r);
+      Alcotest.(check int) "every decision verified" r.Audit.decisions
+        r.Audit.verified
+  | Error e ->
+      Alcotest.failf "audit: %s" (Format.asprintf "%a" Trace_reader.pp_error e));
+  let events =
+    match Trace_reader.read_file path with
+    | Ok (events, Trace_reader.Complete) -> events
+    | Ok (_, Trace_reader.Truncated _) -> Alcotest.fail "fixture is truncated"
+    | Error e -> Alcotest.failf "read: %s" (Format.asprintf "%a" Trace_reader.pp_error e)
+  in
+  let replica = Replica.create Admission.Rota and live = Live.create () in
+  List.iter
+    (fun (e : Events.t) ->
+      (* Spans carry no ledger state, only a stale clock (the run span
+         closes stamped with its opening tick), so the auditor's clock
+         skips them and both folds end at the same tick. *)
+      (match e.Events.payload with
+      | Events.Span _ -> ()
+      | _ -> ignore (Live.step live e));
+      match Replica.replay replica e with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "replay seq %d: %s" e.Events.seq m)
+    events;
+  (match Live.residual_digest live with
+  | Ok audited ->
+      Alcotest.(check string) "replayed residual = audited residual" audited
+        (Replica.residual_digest replica)
+  | Error m -> Alcotest.failf "audit digest: %s" m);
+  let legacy kind run =
+    List.length
+      (List.filter
+         (fun (e : Events.t) ->
+           e.Events.run = run
+           && match e.Events.payload with
+              | Events.Unknown { kind = k; _ } -> String.equal k kind
+              | _ -> false)
+         events)
+  in
+  let runs = (Summary.of_events events).Summary.runs in
+  Alcotest.(check bool) "runs summarized" true (runs <> []);
+  List.iter
+    (fun (r : Summary.run) ->
+      Alcotest.(check int) "admitted" (legacy "admitted" r.Summary.run_id)
+        r.Summary.admitted;
+      Alcotest.(check int) "rejected" (legacy "rejected" r.Summary.run_id)
+        r.Summary.rejected)
+    runs
+
 let () =
   Alcotest.run "server"
     [
@@ -575,4 +757,11 @@ let () =
           Alcotest.test_case "tampered snapshot refused" `Quick
             test_snapshot_tamper_refused;
         ] );
+      ( "unified",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_replay_engine_traces; prop_daemon_matches_simulator ] );
+      ( "legacy",
+        List.map
+          (fun name -> Alcotest.test_case name `Quick (test_legacy_fixture name))
+          legacy_fixtures );
     ]

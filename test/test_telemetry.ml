@@ -409,10 +409,14 @@ let test_top_frame () =
   let t = Top.create ~source:"e11.jsonl" () in
   let feed seq sim payload = Top.step t (event ~seq ~sim payload) in
   feed 1 0 (Events.Run_started { label = "engine policy=rota horizon=160" });
-  feed 2 1 (Events.Admitted { id = "c1"; policy = "rota"; reason = "ok" });
-  feed 3 1 (Events.Admitted { id = "c2"; policy = "rota"; reason = "ok" });
-  feed 4 2
-    (Events.Rejected { id = "c3"; policy = "rota"; reason = "no schedule" });
+  let decision id action =
+    Events.Decision
+      { id; policy = "rota"; action; slug = "ok"; certificate = Rota_obs.Json.Null;
+        cid = None }
+  in
+  feed 2 1 (decision "c1" "admit");
+  feed 3 1 (decision "c2" "admit");
+  feed 4 2 (decision "c3" "reject");
   feed 5 8 (Events.Completed { id = "c1" });
   feed 6 12 (Events.Killed { id = "c2"; owed = 3 });
   feed 7 20

@@ -125,24 +125,24 @@ let test_validate_catches_violations () =
   expect_substring "duplicate span id 9";
   Alcotest.(check bool) "invalid" false (Trace_reader.valid v)
 
-(* Decision provenance in the trace: every admit/reject verdict has a
-   matching decision record, strict-parseable, whose embedded certificate
-   decodes and is internally well-formed (the full replay audit lives in
-   test_audit.ml). *)
+(* Decision provenance in the trace: every admit/reject verdict the
+   engine reports has exactly one decision record, strict-parseable,
+   whose embedded certificate decodes and is internally well-formed (the
+   full replay audit lives in test_audit.ml). *)
 let test_e2e_decision_records () =
-  with_smoke_jsonl @@ fun path _ ->
+  with_smoke_jsonl @@ fun path reports ->
   let events = read_events path in
-  let decisions, verdicts =
-    List.fold_left
-      (fun (ds, vs) (e : Events.t) ->
+  let decisions =
+    List.filter_map
+      (fun (e : Events.t) ->
         match e.Events.payload with
         | Events.Decision { id; policy; action; slug; certificate; cid = _ } ->
-            ((id, policy, action, slug, certificate) :: ds, vs)
-        | Events.Admitted _ | Events.Rejected _ -> (ds, vs + 1)
-        | _ -> (ds, vs))
-      ([], 0) events
+            Some (id, policy, action, slug, certificate)
+        | _ -> None)
+      events
   in
-  Alcotest.(check int) "one decision per admit/reject verdict" verdicts
+  Alcotest.(check int) "one decision per admit/reject verdict"
+    (List.fold_left (fun acc (_, r) -> acc + r.Engine.offered) 0 reports)
     (List.length decisions);
   Alcotest.(check bool) "decisions present" true (decisions <> []);
   List.iter
