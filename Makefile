@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-gate trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke rotabench-smoke check fmt clean
+.PHONY: all build test clock-lint bench bench-smoke bench-gate trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke rotabench-smoke check fmt clean
 
 all: build
 
@@ -7,6 +7,20 @@ build:
 
 test:
 	dune runtest
+
+# One clock: lib/obs/clock.ml is the only code in lib/, bin/ and bench/
+# that reads time.  Everything else takes its durations and stamps from
+# Rota_obs.Clock (monotonic), so a wall-clock step can neither run a
+# duration negative nor inflate one.
+CLOCK_READS = Unix\.(gettimeofday|time)|Sys\.time|Monotonic_clock
+clock-lint:
+	@hits=$$(grep -rnE '$(CLOCK_READS)' lib bin bench \
+	  --include='*.ml' --include='*.mli' | grep -v '^lib/obs/clock\.ml:'); \
+	if [ -n "$$hits" ]; then \
+	  echo "clock-lint: clock read outside lib/obs/clock.ml:"; \
+	  echo "$$hits"; exit 1; \
+	fi; \
+	echo "clock-lint: OK"
 
 # Observability-overhead proof: the disabled telemetry path must stay
 # within noise of the uninstrumented baselines (see doc/observability.md).
@@ -280,7 +294,7 @@ rotabench-smoke: build
 
 # What CI runs.  `dune fmt` is included only when ocamlformat is
 # installed — the pinned toolchain image ships without it.
-check: build test trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke rotabench-smoke bench-gate
+check: build test clock-lint trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke rotabench-smoke bench-gate
 	@if command -v ocamlformat >/dev/null 2>&1; then \
 	  dune build @fmt; \
 	else \

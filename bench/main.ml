@@ -332,20 +332,13 @@ let bench_telemetry_overhead =
     fun () ->
       Metrics.set_enabled enabled;
       Telemetry.count_request "admit";
-      let t0 = Unix.gettimeofday () in
+      let t0 = Rota_obs.Clock.now () in
       let payloads, _reply = Replica.apply ~cid:"bench-1" r admit_op in
-      let t1 = Unix.gettimeofday () in
+      let t1 = Rota_obs.Clock.now () in
       Metrics.observe Telemetry.queue_wait 1e-4;
-      List.iter
-        (function
-          | Rota_obs.Events.Decision { certificate; _ } ->
-              Telemetry.observe_admit_slack ~deadline:probe.Computation.deadline
-                certificate
-          | _ -> ())
-        payloads;
       Buffer.clear buf;
       List.iter (fun p -> Binary.encode buf (stamp p)) payloads;
-      Metrics.observe Telemetry.rtt (t1 -. t0);
+      Metrics.observe Telemetry.rtt (Rota_obs.Clock.between t0 t1);
       ignore (Replica.apply r release_op);
       Metrics.set_enabled false
   in
@@ -762,9 +755,9 @@ let spin () =
 let spin_ns_per_iter () =
   let best = ref infinity in
   for _ = 1 to 7 do
-    let t0 = Unix.gettimeofday () in
+    let t0 = Rota_obs.Clock.now () in
     ignore (spin ());
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Rota_obs.Clock.since t0 in
     best := Float.min !best (dt *. 1e9 /. float_of_int spin_iters)
   done;
   !best

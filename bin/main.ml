@@ -1007,8 +1007,10 @@ let top_cmd =
   let idle_exit_arg =
     Arg.(value & opt float 0. & info [ "idle-exit" ] ~docv:"SECS"
            ~doc:
-             "Exit after $(docv) seconds without new events.  0 follows \
-              forever (quit with q+Enter or Ctrl-C).")
+             "Following a TRACE file, exit after $(docv) seconds without \
+              new events.  0 follows forever (quit with q+Enter or \
+              Ctrl-C).  Not used with $(b,--connect), which stops when \
+              the daemon drains.")
   in
   let width_arg =
     Arg.(value & opt int 80 & info [ "width" ] ~docv:"COLS"
@@ -1022,7 +1024,26 @@ let top_cmd =
               daemon's $(b,--socket)/$(b,--tcp) address) every \
               $(b,--interval) seconds and render the returned samples.")
   in
-  let run_connected ~addr ~once ~interval ~idle_exit:_ ~width ~quit_requested =
+  (* Line-buffered key handling — no raw terminal mode, so the dashboard
+     is safe to pipe and cannot wedge the tty. *)
+  let quit_requested () =
+    match Unix.select [ Unix.stdin ] [] [] 0. with
+    | [ _ ], _, _ -> (
+        let buf = Bytes.create 64 in
+        match Unix.read Unix.stdin buf 0 64 with
+        | 0 -> true (* EOF: non-interactive stdin drained *)
+        | n -> Bytes.exists (fun c -> c = 'q' || c = 'Q') (Bytes.sub buf 0 n)
+        | exception Unix.Unix_error _ -> false)
+    | _ -> false
+  in
+  let redraw ~width ~following st =
+    (* Home + clear: each followed frame fully repaints the screen. *)
+    if following then print_string "\027[H\027[2J";
+    print_string (Rota_obs.Top.render ~width ~following st);
+    if following then print_string "\n[q+Enter or Ctrl-C to quit]\n";
+    flush stdout
+  in
+  let run_connected ~addr ~once ~interval ~width =
     match connect_endpoint (parse_endpoint addr) with
     | exception Unix.Unix_error (e, _, s) ->
         Format.eprintf "rota top: connect %s: %s@." s (Unix.error_message e);
@@ -1060,19 +1081,13 @@ let top_cmd =
               Ok ()
           | Ok _ -> Error "daemon did not answer the metrics verb"
         in
-        let redraw ~following =
-          if following then print_string "\027[H\027[2J";
-          print_string (Rota_obs.Top.render ~width ~following st);
-          if following then print_string "\n[q+Enter or Ctrl-C to quit]\n";
-          flush stdout
-        in
         if once then (
           match scrape () with
           | Error m ->
               Format.eprintf "rota top: %s@." m;
               1
           | Ok () ->
-              redraw ~following:false;
+              redraw ~width ~following:false st;
               0)
         else begin
           let interval = Float.max 0.05 interval in
@@ -1087,7 +1102,7 @@ let top_cmd =
                   (* Daemon drained: leave the last frame standing. *)
                   0
               | Ok () ->
-                  redraw ~following:true;
+                  redraw ~width ~following:true st;
                   Unix.sleepf interval;
                   loop ()
           in
@@ -1102,27 +1117,13 @@ let top_cmd =
     | None, None ->
         Format.eprintf "rota top: a TRACE file or --connect is required@.";
         2
-    | Some addr, None ->
-        let quit_requested () =
-          match Unix.select [ Unix.stdin ] [] [] 0. with
-          | [ _ ], _, _ -> (
-              let buf = Bytes.create 64 in
-              match Unix.read Unix.stdin buf 0 64 with
-              | 0 -> true
-              | n ->
-                  Bytes.exists
-                    (fun c -> c = 'q' || c = 'Q')
-                    (Bytes.sub buf 0 n)
-              | exception Unix.Unix_error _ -> false)
-          | _ -> false
-        in
-        run_connected ~addr ~once ~interval ~idle_exit ~width ~quit_requested
+    | Some addr, None -> run_connected ~addr ~once ~interval ~width
     | None, Some file ->
     if once then
       with_trace_events file @@ fun events ->
       let st = Rota_obs.Top.create ~source:file () in
       List.iter (Rota_obs.Top.step st) events;
-      print_string (Rota_obs.Top.render ~width st);
+      redraw ~width ~following:false st;
       0
     else
       match Trace_reader.Follow.open_file file with
@@ -1134,28 +1135,7 @@ let top_cmd =
           @@ fun () ->
           let st = Rota_obs.Top.create ~source:file () in
           let interval = Float.max 0.05 interval in
-          let redraw () =
-            (* Home + clear: each frame fully repaints the screen. *)
-            print_string "\027[H\027[2J";
-            print_string (Rota_obs.Top.render ~width ~following:true st);
-            print_string "\n[q+Enter or Ctrl-C to quit]\n";
-            flush stdout
-          in
-          (* Line-buffered key handling — no raw terminal mode, so the
-             dashboard is safe to pipe and cannot wedge the tty. *)
-          let quit_requested () =
-            match Unix.select [ Unix.stdin ] [] [] 0. with
-            | [ _ ], _, _ -> (
-                let buf = Bytes.create 64 in
-                match Unix.read Unix.stdin buf 0 64 with
-                | 0 -> true (* EOF: non-interactive stdin drained *)
-                | n ->
-                    Bytes.exists
-                      (fun c -> c = 'q' || c = 'Q')
-                      (Bytes.sub buf 0 n)
-                | exception Unix.Unix_error _ -> false)
-            | _ -> false
-          in
+          let redraw () = redraw ~width ~following:true st in
           redraw ();
           let rec loop idle =
             if quit_requested () then 0

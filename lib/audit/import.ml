@@ -11,3 +11,4 @@ module Summary = Rota_obs.Summary
 module Sink = Rota_obs.Sink
 module Tracer = Rota_obs.Tracer
 module Metrics = Rota_obs.Metrics
+module Clock = Rota_obs.Clock

@@ -57,7 +57,7 @@ let observe t (e : Events.t) =
          the tail-distance when it follows a file another process is
          writing. *)
       Metrics.set g_lag
-        (int_of_float ((Unix.gettimeofday () -. e.Events.wall_s) *. 1e6));
+        (int_of_float ((Clock.wall_s () -. e.Events.wall_s) *. 1e6));
       (match t.on_outcome with Some f -> f o | None -> ());
       (match o.Live.verdict with
       | Live.Verified -> Metrics.incr c_verified

@@ -44,7 +44,7 @@ val create : ?mode:mode -> ?on_outcome:(Live.outcome -> unit) -> unit -> t
 val observe : t -> Events.t -> unit
 (** Feed one event.  Counters touched per decision: [audit/verified],
     [audit/skipped], or [audit/divergence] (one per complaint), plus the
-    [audit/lag] gauge — verification delay behind the event's wall-clock
+    [audit/lag] gauge — verification delay behind the event's [wall_s]
     stamp, in microseconds. *)
 
 val sink : t -> Sink.t

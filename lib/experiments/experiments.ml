@@ -3,22 +3,20 @@ open Import
 let section title =
   Printf.printf "== %s ==\n\n" title
 
-(* Wall-clock of a thunk, in milliseconds, with the result. *)
+(* Elapsed time of a thunk, in milliseconds, with the result. *)
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let result = f () in
-  let t1 = Unix.gettimeofday () in
-  (result, 1000. *. (t1 -. t0))
+  (result, 1000. *. Clock.since t0)
 
 let mean_ms f ~repeat =
   (* One clock window around all repetitions, so micro-operations are
      timed above the clock's resolution. *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   for _ = 1 to repeat do
     ignore (f ())
   done;
-  let t1 = Unix.gettimeofday () in
-  1000. *. (t1 -. t0) /. float_of_int repeat
+  1000. *. Clock.since t0 /. float_of_int repeat
 
 let mean_us f ~repeat = 1000. *. mean_ms f ~repeat
 

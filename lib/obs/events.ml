@@ -82,6 +82,10 @@ let label_field key label =
       | _ -> None)
     (String.split_on_char ' ' label)
 
+let span_within (b, e) (pb, pe) =
+  let tolerance = 1e-6 in
+  not (b < pb -. tolerance || e > pe +. tolerance)
+
 let legacy_kind = function "admitted" | "rejected" -> true | _ -> false
 
 let legacy ~kind ~id ~policy ~reason =

@@ -2,7 +2,7 @@
 
     Every record carries a process-wide sequence number, the id of the
     engine run that produced it (0 outside any run), the {e simulated}
-    time when one applies, and the wall-clock time.  The JSON schema is
+    time when one applies, and a {!Clock.wall_s} stamp.  The JSON schema is
     documented in [doc/observability.md]; {!of_json} accepts exactly
     what {!to_json} produces, so every event kind round-trips.
 
@@ -153,6 +153,11 @@ val kind : payload -> string
 val label_field : string -> string -> string option
 (** [label_field key label] finds a [key=value] token in a
     {!Run_started} label (["engine policy=rota horizon=200"]). *)
+
+val span_within : float * float -> float * float -> bool
+(** [span_within (b, e) (pb, pe)] — the span interval [[b, e]] lies
+    within its parent's [[pb, pe]], up to 1 µs (the rounding of
+    epoch-sized stamps): the trace contract's nesting clause. *)
 
 val legacy_kind : string -> bool
 (** Kinds older binaries wrote and this one reads as {!Unknown} in

@@ -45,24 +45,41 @@ let events t =
   !out
 
 let repair evs =
-  (* Make the retained suffix self-consistent: a span whose parent was
-     evicted becomes a root, and a run whose earlier records are gone
-     may open on a later simulated time than a surviving straggler —
-     clamp sim forward so per-run monotonicity holds again. *)
-  let span_ids = Hashtbl.create 64 in
+  (* Make the retained suffix self-consistent: a span that ran backwards
+     becomes instantaneous; a span whose parent was evicted, or whose
+     interval escapes its parent's, becomes a root; and a run whose
+     earlier records are gone may open on a later simulated time than a
+     surviving straggler — clamp sim forward so per-run monotonicity
+     holds again. *)
+  let evs =
+    List.map
+      (fun ev ->
+        match ev.Events.payload with
+        | Events.Span s when s.duration_s < 0. ->
+            { ev with Events.payload = Events.Span { s with duration_s = 0. } }
+        | _ -> ev)
+      evs
+  in
+  let spans = Hashtbl.create 64 in
   List.iter
     (fun ev ->
       match ev.Events.payload with
-      | Events.Span { id; _ } when id <> 0 -> Hashtbl.replace span_ids id ()
+      | Events.Span { id; begin_s; duration_s; _ } when id <> 0 ->
+          Hashtbl.replace spans id (begin_s, begin_s +. duration_s)
       | _ -> ())
     evs;
+  let nested ~parent begin_s duration_s =
+    match Hashtbl.find_opt spans parent with
+    | Some interval -> Events.span_within (begin_s, begin_s +. duration_s) interval
+    | None -> false
+  in
   let run_max : (int, int) Hashtbl.t = Hashtbl.create 8 in
   List.map
     (fun ev ->
       let ev =
         match ev.Events.payload with
-        | Events.Span ({ parent = Some p; _ } as s)
-          when not (Hashtbl.mem span_ids p) ->
+        | Events.Span ({ parent = Some p; begin_s; duration_s; _ } as s)
+          when not (nested ~parent:p begin_s duration_s) ->
             { ev with Events.payload = Events.Span { s with parent = None } }
         | _ -> ev
       in

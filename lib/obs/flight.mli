@@ -12,9 +12,11 @@
     To make an arbitrary suffix of a longer stream self-consistent, the
     ring restamps: events get fresh contiguous [seq] numbers at record
     time, and {!dump} drops span parent links that point outside the
-    retained window (the parent record was evicted) and clamps any
-    backward simulated-time step within a run (the run's earlier records
-    may be gone, so monotonicity is re-established locally). *)
+    retained window (the parent record was evicted) or to a span whose
+    interval does not contain the child's, clamps a negative span
+    duration to 0, and clamps any backward simulated-time step within a
+    run (the run's earlier records may be gone, so monotonicity is
+    re-established locally). *)
 
 type t
 

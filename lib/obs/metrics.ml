@@ -114,8 +114,8 @@ let observe h v =
 let time h f =
   if not !on then f ()
   else begin
-    let t0 = Clock.wall_s () in
-    let finally () = observe h (Clock.wall_s () -. t0) in
+    let t0 = Clock.now () in
+    let finally () = observe h (Clock.since t0) in
     Fun.protect ~finally f
   end
 

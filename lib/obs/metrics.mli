@@ -58,7 +58,7 @@ val histogram : ?buckets:float array -> string -> histogram
 val observe : histogram -> float -> unit
 
 val time : histogram -> (unit -> 'a) -> 'a
-(** Run the thunk, observing its wall-clock duration in seconds.  When
+(** Run the thunk, observing its (monotonic) duration in seconds.  When
     recording is disabled this is exactly the thunk call. *)
 
 val hist_count : histogram -> int

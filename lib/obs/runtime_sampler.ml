@@ -33,7 +33,7 @@ let handles =
 
 type baseline = {
   b_stat : Gc.stat;
-  b_wall : float;
+  b_wall : Clock.t;
   b_sim : int option;
 }
 
@@ -50,7 +50,7 @@ let update ?sim () =
   if Metrics.enabled () then begin
     let h = Lazy.force handles in
     let q = Gc.quick_stat () in
-    let wall = Clock.wall_s () in
+    let wall = Clock.now () in
     (match !last with
     | None -> ()
     | Some b ->
@@ -64,14 +64,15 @@ let update ?sim () =
         Metrics.add h.c_major_collections
           (q.Gc.major_collections - b.b_stat.Gc.major_collections);
         Metrics.add h.c_compactions (q.Gc.compactions - b.b_stat.Gc.compactions);
-        (* Wall-vs-sim drift: wall-clock microseconds burned per
+        (* Wall-vs-sim drift: real microseconds burned per
            simulated tick since the previous sample.  Needs two samples
            with advancing simulated time; otherwise the gauge keeps its
            last value. *)
         (match (sim, b.b_sim) with
         | Some t1, Some t0 when t1 > t0 ->
             Metrics.set h.g_wall_us_per_tick
-              (int_of_float (1e6 *. (wall -. b.b_wall) /. float_of_int (t1 - t0)))
+              (int_of_float
+                 (1e6 *. Clock.between b.b_wall wall /. float_of_int (t1 - t0)))
         | _ -> ()));
     Metrics.set h.g_heap_words q.Gc.heap_words;
     Metrics.set h.g_top_heap_words q.Gc.top_heap_words;

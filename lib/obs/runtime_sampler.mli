@@ -13,7 +13,7 @@
       [runtime/compactions] — GC cycles since the first update;
     - [runtime/heap_words], [runtime/top_heap_words] — current and peak
       major-heap size (gauges);
-    - [runtime/wall_us_per_tick] — wall-clock microseconds per simulated
+    - [runtime/wall_us_per_tick] — real (monotonic) microseconds per simulated
       tick between the two most recent updates that both carried a
       [sim] stamp (gauge): the wall-vs-sim drift an overloaded engine
       shows first.

@@ -286,8 +286,9 @@ type vstate = {
   mutable n_runs : int;
   mutable last_seq : int option;
   last_sim : (int, int) Hashtbl.t;  (* run -> last non-span sim *)
-  span_ids : (int, unit) Hashtbl.t;
-  mutable parents : (int * int) list;  (* (line, parent id) to resolve *)
+  spans : (int, float * float) Hashtbl.t;  (* id -> begin, end *)
+  mutable parents : (int * int * float * float) list;
+      (* (line, parent id, begin, end) to resolve *)
   mutable errs : int;  (* total, including suppressed *)
   mutable messages : string list;  (* newest first, capped *)
 }
@@ -299,7 +300,7 @@ let validate_file ?(max_errors = 20) path =
       n_runs = 0;
       last_seq = None;
       last_sim = Hashtbl.create 8;
-      span_ids = Hashtbl.create 64;
+      spans = Hashtbl.create 64;
       parents = [];
       errs = 0;
       messages = [];
@@ -336,13 +337,17 @@ let validate_file ?(max_errors = 20) path =
     st.last_seq <- Some e.Events.seq;
     match e.Events.payload with
     | Events.Run_started _ -> st.n_runs <- st.n_runs + 1
-    | Events.Span { id; parent; _ } ->
+    | Events.Span { id; parent; begin_s; duration_s; _ } ->
+        if duration_s < 0. then
+          report n "span %d has negative duration %g s" id duration_s;
+        let stop = begin_s +. duration_s in
         if id <> 0 then begin
-          if Hashtbl.mem st.span_ids id then
-            report n "duplicate span id %d" id
-          else Hashtbl.replace st.span_ids id ()
+          if Hashtbl.mem st.spans id then report n "duplicate span id %d" id
+          else Hashtbl.replace st.spans id (begin_s, stop)
         end;
-        Option.iter (fun p -> st.parents <- (n, p) :: st.parents) parent
+        Option.iter
+          (fun p -> st.parents <- (n, p, begin_s, stop) :: st.parents)
+          parent
     | _ -> (
         (* Within one run, non-span simulated times are nondecreasing. *)
         match e.Events.sim with
@@ -405,9 +410,13 @@ let validate_file ?(max_errors = 20) path =
   (* Parent spans are emitted after their children, so resolution runs
      once the whole file has been seen. *)
   List.iter
-    (fun (n, p) ->
-      if not (Hashtbl.mem st.span_ids p) then
-        report n "span parent id %d does not resolve" p)
+    (fun (n, p, b, e) ->
+      match Hashtbl.find_opt st.spans p with
+      | None -> report n "span parent id %d does not resolve" p
+      | Some (pb, pe) ->
+          if not (Events.span_within (b, e) (pb, pe)) then
+            report n "span [%.6f, %.6f] escapes its parent %d [%.6f, %.6f]"
+              b e p pb pe)
     (List.rev st.parents);
   let messages = List.rev st.messages in
   let messages =

@@ -90,7 +90,8 @@ end
     is strictly increasing across the file;
     within each run the non-span simulated times are nondecreasing;
     nonzero span ids are unique and every span's [parent] id resolves
-    to a span in the file.  A truncated final line is reported as a
+    to a span in the file; no span has a negative [duration_s], and
+    every span's interval lies within its parent's, to 1 µs.  A truncated final line is reported as a
     violation (the trace is crash-cut, even though {!fold_file} can
     still use it). *)
 

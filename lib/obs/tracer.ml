@@ -40,56 +40,44 @@ let new_run ?sim label =
 
 let run_id () = !run
 
+let alloc_span_id () =
+  incr next_span_id;
+  !next_span_id
+
+let span ?parent ?id ?depth name t0 t1 =
+  let id = match id with Some i -> i | None -> alloc_span_id () in
+  let depth =
+    match depth with Some d -> d | None -> if parent = None then 0 else 1
+  in
+  Events.Span
+    {
+      name;
+      id;
+      parent;
+      depth;
+      begin_s = Clock.stamp t0;
+      duration_s = Clock.between t0 t1;
+    }
+
 let with_span ?sim name f =
   match !sink with
   | None -> f ()
   | Some _ ->
       let d = !depth in
       let parent = match !open_spans with [] -> None | p :: _ -> Some p in
-      incr next_span_id;
-      let id = !next_span_id in
+      let id = alloc_span_id () in
       depth := d + 1;
       open_spans := id :: !open_spans;
-      let t0 = Clock.wall_s () in
+      let t0 = Clock.now () in
       let finally () =
         depth := d;
         (open_spans :=
            match !open_spans with
            | s :: rest when s = id -> rest
            | stack -> stack);
-        emit ?sim
-          (Events.Span
-             {
-               name;
-               id;
-               parent;
-               depth = d;
-               begin_s = t0;
-               duration_s = Clock.wall_s () -. t0;
-             })
+        emit ?sim (span ?parent ~id ~depth:d name t0 (Clock.now ()))
       in
       Fun.protect ~finally f
-
-let alloc_span_id () =
-  incr next_span_id;
-  !next_span_id
-
-let emit_span ?sim ?parent ?id ~name ~begin_s () =
-  match !sink with
-  | None -> ()
-  | Some _ ->
-      let id = match id with Some i -> i | None -> alloc_span_id () in
-      let depth = match parent with None -> 0 | Some _ -> 1 in
-      emit ?sim
-        (Events.Span
-           {
-             name;
-             id;
-             parent;
-             depth;
-             begin_s;
-             duration_s = Clock.wall_s () -. begin_s;
-           })
 
 let set_sample_period n = period := max 0 n
 let sample_period () = !period

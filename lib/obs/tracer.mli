@@ -16,7 +16,7 @@ val active : unit -> bool
 (** Whether a sink is installed. *)
 
 val emit : ?sim:int -> Events.payload -> unit
-(** Stamp (seq, run, wall time) and deliver to the sink, if any. *)
+(** Stamp (seq, run, {!Clock.wall_s}) and deliver to the sink, if any. *)
 
 val new_run : ?sim:int -> string -> int
 (** Start a new run scope: increments the run id, emits
@@ -37,17 +37,19 @@ val with_span : ?sim:int -> string -> (unit -> 'a) -> 'a
 val alloc_span_id : unit -> int
 (** Reserve a fresh process-wide span id without opening a span — for
     callers that time a scope manually across asynchronous boundaries
-    (the serve daemon's per-request span) and emit it via {!emit_span}.
-    Advances even with no sink installed, like {!new_run}. *)
+    (the serve daemon's per-request span) and build its record with
+    {!span}.  Advances even with no sink installed, like {!new_run}. *)
 
-val emit_span :
-  ?sim:int -> ?parent:int -> ?id:int -> name:string -> begin_s:float ->
-  unit -> unit
-(** Emit one {!Events.Span} record for a manually timed scope: duration
-    is measured from [begin_s] to now.  [id] defaults to a fresh
-    {!alloc_span_id}; [depth] is 0 without a [parent] and 1 with one
-    (manual spans nest one level, they do not use the thread's span
-    stack).  No-op without a sink. *)
+val span :
+  ?parent:int -> ?id:int -> ?depth:int -> string -> Clock.t -> Clock.t ->
+  Events.payload
+(** [span name t0 t1] is the one place a {!Events.Span} record is built:
+    the scope ran from reading [t0] to reading [t1], so [begin_s] is
+    [Clock.stamp t0] and [duration_s] is [Clock.between t0 t1] (never
+    negative).  [id] defaults to a fresh {!alloc_span_id}; [depth] to 0
+    without a [parent] and 1 with one (manually timed spans nest one
+    level and do not use the span stack).  {!with_span} emits exactly
+    this; so does the serve daemon for its request spans. *)
 
 val set_sample_period : int -> unit
 (** Cadence, in simulated ticks, at which the engine emits

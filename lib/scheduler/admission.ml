@@ -159,10 +159,9 @@ module Obs = struct
   let observed policy name ~now ~size decide =
     Tracer.with_span ~sim:now name (fun () ->
         if Metrics.enabled () then begin
-          let t0 = Clock.wall_s () in
+          let t0 = Clock.now () in
           let ((c, outcome) as r) = decide () in
-          observe_decision policy outcome
-            ~elapsed_s:(Clock.wall_s () -. t0);
+          observe_decision policy outcome ~elapsed_s:(Clock.since t0);
           Metrics.set (List.assq policy series).ledger (size c);
           r
         end

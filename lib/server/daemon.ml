@@ -58,8 +58,8 @@ type item = {
   cid : string;  (* the daemon's correlation id for this request *)
   span : int;  (* pre-allocated [server/request] span id *)
   work : work;
-  recv : float;  (* wall time the request line arrived (parse began) *)
-  enqueued : float;
+  recv : Clock.t;  (* the request line arrived (parse began) *)
+  enqueued : Clock.t;
   budget_ms : float option;
 }
 
@@ -202,54 +202,20 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
         Printf.sprintf "r%d-%d" pid !cid_counter
       in
       (* --- the observability plane ------------------------------------- *)
-      let telemetry = cfg.telemetry in
+      (* Every record the daemon produces — WAL events, spans, sheds,
+         audit divergences — goes into this one sink: the live watchdog
+         (which re-verifies the logged decisions and passes over the
+         telemetry-only kinds), the flight recorder's ring, and the
+         --metrics-out refresh counter.  It is tied once the watchdog
+         exists, because the watchdog's outcome hook records into it. *)
+      let sink = ref Sink.null in
+      let record ?sim payload =
+        !sink.Sink.emit
+          { Events.seq = 0; run = 1; sim; wall_s = Clock.wall_s (); payload }
+      in
       let flight =
-        if telemetry then Some (Flight.create ~capacity:cfg.flight_capacity ())
+        if cfg.telemetry then Some (Flight.create ~capacity:cfg.flight_capacity ())
         else None
-      in
-      let metrics_out =
-        if telemetry then
-          Option.map
-            (fun path -> Openmetrics.snapshot_sink ~every:cfg.metrics_every path)
-            cfg.metrics_out
-        else None
-      in
-      (* Every event the daemon produces — WAL records and telemetry-only
-         records alike — flows through here: into the flight recorder's
-         ring and past the --metrics-out refresh counter. *)
-      let observe_event e =
-        (match flight with Some f -> Flight.record f e | None -> ());
-        match metrics_out with Some s -> s.Sink.emit e | None -> ()
-      in
-      (* Telemetry-only records (sheds, spans): stamped by the daemon —
-         the flight ring re-sequences, and an installed tracer sink
-         ([--trace]) gets its own independently stamped copy. *)
-      let record_tele ?sim payload =
-        if telemetry then begin
-          observe_event
-            {
-              Events.seq = 0;
-              run = 1;
-              sim;
-              wall_s = Unix.gettimeofday ();
-              payload;
-            };
-          if Tracer.active () then Tracer.emit ?sim payload
-        end
-      in
-      let record_span ?parent ?id ~name ~begin_s ~until () =
-        if telemetry then
-          let id = match id with Some i -> i | None -> Tracer.alloc_span_id () in
-          record_tele
-            (Events.Span
-               {
-                 name;
-                 id;
-                 parent;
-                 depth = (match parent with None -> 0 | Some _ -> 1);
-                 begin_s;
-                 duration_s = until -. begin_s;
-               })
       in
       let flight_path = flight_file ~dir:cfg.dir in
       let flight_dumped = ref false in
@@ -272,58 +238,43 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
       let slo = Slo.create ~budget:cfg.slo_budget () in
       let divergence_dumped = ref false in
       let on_outcome (o : Live.outcome) =
-        let now = Unix.gettimeofday () in
+        let now = Clock.wall_s () in
         match o.Live.verdict with
         | Live.Verified | Live.Skipped _ -> Slo.record slo ~now ~good:true
         | Live.Diverged complaints ->
             List.iter
               (fun message ->
                 Slo.record slo ~now ~good:false;
-                (* The watchdog emits these on the tracer stream; the
-                   flight ring needs its own copy, tracer or not. *)
-                match flight with
-                | Some f ->
-                    Flight.record f
-                      {
-                        Events.seq = 0;
-                        run = o.Live.run;
-                        sim = o.Live.sim;
-                        wall_s = now;
-                        payload =
-                          Events.Audit_divergence
-                            {
-                              id = o.Live.id;
-                              action = o.Live.action;
-                              of_seq = o.Live.seq;
-                              message;
-                            };
-                      }
-                | None -> ())
+                record ?sim:o.Live.sim
+                  (Events.Audit_divergence
+                     { id = o.Live.id; action = o.Live.action; of_seq = o.Live.seq;
+                       message }))
               complaints;
             if not !divergence_dumped then begin
               divergence_dumped := true;
               dump_flight "audit divergence"
             end
       in
-      let watchdog =
-        if telemetry then Some (Watchdog.create ~on_outcome ()) else None
-      in
-      let tee_wal events =
-        if telemetry then
-          List.iter
-            (fun e ->
-              (match watchdog with Some w -> Watchdog.observe w e | None -> ());
-              observe_event e)
-            events
-      in
+      (match flight with
+      | None -> ()
+      | Some f ->
+          let watchdog = Watchdog.create ~on_outcome () in
+          let metrics_out =
+            Option.map
+              (Openmetrics.snapshot_sink ~every:cfg.metrics_every)
+              cfg.metrics_out
+          in
+          sink :=
+            List.fold_left Sink.tee (Watchdog.sink watchdog)
+              (Flight.sink f :: Option.to_list metrics_out));
       let shed_total = ref 0 in
       let storm_dumped = ref false in
       let note_shed ~id ~slug ~reason =
         stats.shed <- stats.shed + 1;
         incr shed_total;
         Telemetry.count_shed slug;
-        Slo.record slo ~now:(Unix.gettimeofday ()) ~good:false;
-        record_tele ~sim:(Replica.now replica) (Events.Shed { id; slug; reason });
+        Slo.record slo ~now:(Clock.wall_s ()) ~good:false;
+        record ~sim:(Replica.now replica) (Events.Shed { id; slug; reason });
         if !shed_total >= shed_storm_threshold && not !storm_dumped then begin
           storm_dumped := true;
           dump_flight
@@ -331,8 +282,8 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
         end
       in
       let refresh_gauges () =
-        if telemetry then begin
-          let now = Unix.gettimeofday () in
+        if cfg.telemetry then begin
+          let now = Clock.wall_s () in
           Metrics.set Telemetry.queue_depth (Queue.length queue);
           Metrics.set Telemetry.connections (Hashtbl.length conns);
           Telemetry.set_burn Telemetry.burn_5m (Slo.burn slo ~now ~window_s:300);
@@ -394,7 +345,7 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
           let metrics_reply () =
             refresh_gauges ();
             let view = Metrics.snapshot () in
-            let now = Unix.gettimeofday () in
+            let now = Clock.wall_s () in
             let samples =
               List.mapi
                 (fun i payload ->
@@ -410,13 +361,12 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
              item — verdicts included — so responses leave in request
              order no matter how they were produced. *)
           let handle_line conn line =
-            let recv = Unix.gettimeofday () in
+            let recv = Clock.now () in
             let parsed = Wire.request_of_line line in
-            let now = Unix.gettimeofday () in
+            let now = Clock.now () in
             let cid = mint_cid () in
             let span = Tracer.alloc_span_id () in
-            record_span ~parent:span ~name:"server/parse" ~begin_s:recv
-              ~until:now ();
+            record (Tracer.span ~parent:span "server/parse" recv now);
             match parsed with
             | Error m ->
                 stats.failed <- stats.failed + 1;
@@ -455,29 +405,22 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
           in
           let feed conn bytes n =
             Buffer.add_subbytes conn.inbuf bytes 0 n;
-            let rec split () =
-              let s = Buffer.contents conn.inbuf in
-              match String.index_opt s '\n' with
-              | None -> ()
-              | Some i ->
-                  Buffer.clear conn.inbuf;
-                  Buffer.add_string conn.inbuf
-                    (String.sub s (i + 1) (String.length s - i - 1));
-                  let line = String.trim (String.sub s 0 i) in
-                  if line <> "" then handle_line conn line;
-                  split ()
-            in
-            split ()
+            List.iter
+              (fun line ->
+                let line = String.trim line in
+                if line <> "" then handle_line conn line)
+              (Wire.take_lines conn.inbuf)
           in
           let decide item =
             match item.work with
             | Ready reply -> (None, reply)
             | Decide op -> (
-                let picked = Unix.gettimeofday () in
-                let waited = picked -. item.enqueued in
+                let picked = Clock.now () in
+                let waited = Clock.between item.enqueued picked in
                 Metrics.observe Telemetry.queue_wait waited;
-                record_span ~parent:item.span ~name:"server/queue-wait"
-                  ~begin_s:item.enqueued ~until:picked ();
+                record
+                  (Tracer.span ~parent:item.span "server/queue-wait"
+                     item.enqueued picked);
                 let sheddable =
                   match op with Wire.Admit _ -> true | _ -> false
                 in
@@ -501,35 +444,20 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
                        touch the replica or the WAL. *)
                     (None, metrics_reply ())
                 | Shed.Accept ->
-                    let t0 = Unix.gettimeofday () in
+                    let t0 = Clock.now () in
                     if cfg.decide_delay_ms > 0. then
                       Unix.sleepf (cfg.decide_delay_ms /. 1000.);
                     let payloads, reply =
                       Replica.apply ~cid:item.cid replica op
                     in
-                    let t1 = Unix.gettimeofday () in
-                    Shed.observe shed (t1 -. t0);
-                    record_span ~parent:item.span ~name:"server/decide"
-                      ~begin_s:t0 ~until:t1 ();
+                    let t1 = Clock.now () in
+                    Shed.observe shed (Clock.between t0 t1);
+                    record (Tracer.span ~parent:item.span "server/decide" t0 t1);
                     stats.decided <- stats.decided + 1;
                     (match reply with
                     | Wire.Decided { action = "admit"; _ } ->
                         stats.admitted <- stats.admitted + 1
                     | Wire.Decided _ -> stats.rejected <- stats.rejected + 1
-                    | _ -> ());
-                    (* Deadline slack: how much simulated headroom the
-                       admitted schedule leaves before the deadline. *)
-                    (match (op, reply) with
-                    | ( Wire.Admit { computation; _ },
-                        Wire.Decided { action = "admit"; _ } ) ->
-                        List.iter
-                          (function
-                            | Events.Decision { certificate; _ } ->
-                                Telemetry.observe_admit_slack
-                                  ~deadline:computation.Computation.deadline
-                                  certificate
-                            | _ -> ())
-                          payloads
                     | _ -> ());
                     let reply =
                       match (op, reply) with
@@ -554,15 +482,14 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
                 (match payloads with
                 | Some (_ :: _ as ps) ->
                     let b0 = Wal.buffered !writer in
-                    let t0 = Unix.gettimeofday () in
+                    let t0 = Clock.now () in
                     let events =
                       Wal.append !writer ~sim:(Replica.now replica) ps
                     in
-                    let t1 = Unix.gettimeofday () in
+                    let t1 = Clock.now () in
                     Metrics.add Telemetry.wal_bytes (Wal.buffered !writer - b0);
-                    record_span ~parent:item.span ~name:"server/encode"
-                      ~begin_s:t0 ~until:t1 ();
-                    tee_wal events;
+                    record (Tracer.span ~parent:item.span "server/encode" t0 t1);
+                    List.iter !sink.Sink.emit events;
                     logged := true;
                     since_snapshot := !since_snapshot + 1
                 | _ -> ());
@@ -572,20 +499,19 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
             in
             go batch_size;
             if !logged then begin
-              let t0 = Unix.gettimeofday () in
+              let t0 = Clock.now () in
               Wal.sync !writer;
-              let t1 = Unix.gettimeofday () in
-              Metrics.observe Telemetry.fsync (t1 -. t0);
+              let t1 = Clock.now () in
+              Metrics.observe Telemetry.fsync (Clock.between t0 t1);
               (* One flush covers the whole batch, so the span stands
                  alone rather than under any single request. *)
-              record_span ~name:"server/wal-fsync" ~begin_s:t0 ~until:t1 ()
+              record (Tracer.span "server/wal-fsync" t0 t1)
             end;
             List.iter
               (fun (item, reply) ->
-                let now = Unix.gettimeofday () in
-                Metrics.observe Telemetry.rtt (now -. item.recv);
-                record_span ~id:item.span ~name:"server/request"
-                  ~begin_s:item.recv ~until:now ();
+                let now = Clock.now () in
+                Metrics.observe Telemetry.rtt (Clock.between item.recv now);
+                record (Tracer.span ~id:item.span "server/request" item.recv now);
                 let tag =
                   (* Untagged clients still get a correlation handle: the
                      cid doubles as the echoed tag. *)
@@ -769,7 +695,7 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
               Wal.sync !writer;
               snapshot ();
               Wal.close !writer;
-              (match metrics_out with Some s -> s.Sink.close () | None -> ());
+              !sink.Sink.close ();
               Hashtbl.iter (fun _ c -> close_conn c) (Hashtbl.copy conns);
               Hashtbl.iter (fun _ s -> close_scrape s) (Hashtbl.copy scrapes);
               (try Unix.close listener with Unix.Unix_error _ -> ());

@@ -26,7 +26,11 @@ open Import
     behind the [slo/burn_*] gauges; and a {!Rota_obs.Flight} ring keeps
     the last [flight_capacity] events in memory, dumped to
     [<dir>/flight-<pid>.rotb] on SIGQUIT, the first audit divergence, a
-    shed storm, or a fatal exception.
+    shed storm, or a fatal exception.  Every record the daemon produces
+    — WAL events, spans, sheds, divergences — reaches them through one
+    {!Rota_obs.Sink.tee} of the watchdog, the flight ring and the
+    [metrics_out] snapshot sink.  Every duration is a difference of
+    monotonic {!Rota_obs.Clock} readings.
 
     Scraping: [metrics_listen] adds a second listener inside the same
     [select] loop that answers any HTTP request with an OpenMetrics

@@ -30,7 +30,7 @@ let rtt_buckets =
 type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
-  inflight : float Queue.t;  (* send times, FIFO = response order *)
+  inflight : Clock.t Queue.t;  (* send times, FIFO = response order *)
 }
 
 let connect address =
@@ -122,7 +122,7 @@ let run cfg =
   | exception Unix.Unix_error (e, _, s) ->
       Error (Printf.sprintf "connect %s: %s" s (Unix.error_message e))
   | conns ->
-      let started = Unix.gettimeofday () in
+      let started = Clock.now () in
       let classify reply =
         match reply with
         | Wire.Decided { action = "admit"; _ } -> incr admitted
@@ -139,32 +139,20 @@ let run cfg =
           conns
       in
       let consume c =
-        let s = Buffer.contents c.inbuf in
-        let rec go start =
-          match String.index_from_opt s start '\n' with
-          | None ->
-              Buffer.clear c.inbuf;
-              Buffer.add_string c.inbuf
-                (String.sub s start (String.length s - start));
-              Ok ()
-          | Some i ->
-              let line = String.sub s start (i - start) in
-              let r =
-                match Wire.response_of_line line with
-                | Error m -> Error ("bad response: " ^ m)
-                | Ok { Wire.reply; _ } ->
-                    (match Queue.take_opt c.inflight with
-                    | Some t0 ->
-                        Metrics.observe hist
-                          ((Unix.gettimeofday () -. t0) *. 1000.)
-                    | None -> ());
-                    classify reply;
-                    sample_tick ();
-                    Ok ()
-              in
-              (match r with Ok () -> go (i + 1) | Error _ as e -> e)
+        let rec go = function
+          | [] -> Ok ()
+          | line :: rest -> (
+              match Wire.response_of_line line with
+              | Error m -> Error ("bad response: " ^ m)
+              | Ok { Wire.reply; _ } ->
+                  (match Queue.take_opt c.inflight with
+                  | Some t0 -> Metrics.observe hist (Clock.since t0 *. 1000.)
+                  | None -> ());
+                  classify reply;
+                  sample_tick ();
+                  go rest)
         in
-        go 0
+        go (Wire.take_lines c.inbuf)
       in
       let outstanding () =
         Array.fold_left (fun acc c -> acc + Queue.length c.inflight) 0 conns
@@ -182,7 +170,7 @@ let run cfg =
               | [] -> ()
               | r :: rest ->
                   requests := rest;
-                  Queue.add (Unix.gettimeofday ()) c.inflight;
+                  Queue.add (Clock.now ()) c.inflight;
                   send_line c.fd (Wire.request_to_line r);
                   sent := true
             done)
@@ -237,7 +225,7 @@ let run cfg =
             Error m
         | Ok () ->
             Tracer.sample_metrics ();
-            let duration_s = Unix.gettimeofday () -. started in
+            let duration_s = Clock.since started in
             (* One last round trip: the state the run left behind, for
                cross-checking against [rota audit] of the daemon's WAL. *)
             let digest =

@@ -32,6 +32,10 @@ let apply ?cid t (op : Wire.op) =
       advance t now;
       let outcome, records = admit ?cid t computation in
       let cert = Lazy.force outcome.Admission.certificate in
+      (* Deadline slack: how much simulated headroom the admitted
+         schedule leaves before the deadline. *)
+      if outcome.Admission.admitted then
+        Telemetry.observe_admit_slack ~deadline:computation.Computation.deadline cert;
       let reason = outcome.Admission.reason in
       ( Lazy.force records,
         Wire.Decided

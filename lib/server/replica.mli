@@ -30,4 +30,6 @@ val apply : ?cid:string -> t -> Wire.op -> Events.payload list * Wire.reply
     id the controller does not hold.  [cid] is the daemon's correlation
     id for the request; it is stamped into every {!Events.Decision} the
     operation produces (and echoed in the wire reply by the daemon),
-    joining the durable record to the client conversation. *)
+    joining the durable record to the client conversation.  An admit
+    observes its deadline slack on {!Telemetry.admit_slack} from the
+    certificate it has just forced (a no-op with metrics disabled). *)

@@ -63,12 +63,8 @@ let completion_bound (cert : Certificate.t) =
   | Certificate.Infeasible | Certificate.Stale _ | Certificate.Duplicate ->
       None
 
-let observe_admit_slack ~deadline cert_json =
+let observe_admit_slack ~deadline cert =
   if Metrics.enabled () then
-    match Certificate.of_json cert_json with
-    | Error _ -> ()
-    | Ok cert -> (
-        match completion_bound cert with
-        | None -> ()
-        | Some stop ->
-            Metrics.observe admit_slack (float_of_int (deadline - stop)))
+    match completion_bound cert with
+    | None -> ()
+    | Some stop -> Metrics.observe admit_slack (float_of_int (deadline - stop))

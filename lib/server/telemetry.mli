@@ -82,8 +82,7 @@ val completion_bound : Certificate.t -> Time.t option
     for the aggregate/optimistic baselines, [None] for reject
     evidence. *)
 
-val observe_admit_slack : deadline:Time.t -> Json.t -> unit
-(** Parse a decision record's certificate JSON and observe
-    [deadline - completion_bound] on {!admit_slack}.  Free when the
-    registry is disabled; silently skips certificates that do not parse
-    or carry reject evidence. *)
+val observe_admit_slack : deadline:Time.t -> Certificate.t -> unit
+(** Observe [deadline - completion_bound cert] on {!admit_slack}.  Free
+    when the registry is disabled; skips certificates that carry reject
+    evidence. *)

@@ -17,7 +17,7 @@ let offset w = w.durable
 let buffered w = Buffer.length w.buf
 
 let append w ~sim payloads =
-  let wall_s = Unix.gettimeofday () in
+  let wall_s = Clock.wall_s () in
   List.map
     (fun payload ->
       w.last_seq <- w.last_seq + 1;

@@ -356,3 +356,15 @@ let response_to_line r = Json.to_string (response_to_json r)
 
 let response_of_line line =
   Result.bind (Json.parse line) response_of_json
+
+let take_lines buf =
+  let s = Buffer.contents buf in
+  let rec go start acc =
+    match String.index_from_opt s start '\n' with
+    | Some i -> go (i + 1) (String.sub s start (i - start) :: acc)
+    | None ->
+        Buffer.clear buf;
+        Buffer.add_substring buf s start (String.length s - start);
+        List.rev acc
+  in
+  go 0 []

@@ -102,3 +102,9 @@ val response_to_line : response -> string
 val response_of_line : string -> (response, string) result
 (** One JSON document, no trailing newline; [*_of_line] accepts exactly
     what the corresponding [*_to_line] produces. *)
+
+val take_lines : Buffer.t -> string list
+(** Split off every complete line buffered so far, in order and without
+    their newlines, leaving only the unterminated tail in the buffer.
+    One scan however many lines a read delivered — both ends of the
+    connection frame their input with it. *)

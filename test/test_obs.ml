@@ -12,6 +12,7 @@ module Events = Rota_obs.Events
 module Json = Rota_obs.Json
 module Sink = Rota_obs.Sink
 module Tracer = Rota_obs.Tracer
+module Clock = Rota_obs.Clock
 
 (* Metrics and the tracer are process-global; every test starts from a
    clean slate and leaves recording off. *)
@@ -181,6 +182,22 @@ let test_span_nesting () =
           Alcotest.(check bool) "outer begins first" true (b_out <= b_in)
       | _ -> Alcotest.fail "expected inner (depth 1) then outer (depth 0)")
   | es -> Alcotest.failf "expected 2 span events, got %d" (List.length es)
+
+(* A manually timed span: its record comes from two clock readings, the
+   begin stamp epoch-like and the duration their monotonic difference. *)
+let test_span_from_readings () =
+  let t0 = Clock.now () in
+  let t1 = Clock.now () in
+  Alcotest.(check bool) "readings never run backwards" true (Clock.between t0 t1 >= 0.);
+  Alcotest.(check bool) "stamps are epoch seconds" true
+    (Float.abs (Clock.wall_s () -. Unix.gettimeofday ()) < 3600.);
+  match Tracer.span ~parent:7 "manual" t0 t1 with
+  | Events.Span { name = "manual"; parent = Some 7; depth = 1; id; begin_s; duration_s } ->
+      Alcotest.(check (float 0.)) "begin is the start stamp" (Clock.stamp t0) begin_s;
+      Alcotest.(check (float 0.)) "duration is the reading difference"
+        (Clock.between t0 t1) duration_s;
+      Alcotest.(check bool) "fresh id" true (id > 0)
+  | _ -> Alcotest.fail "expected a depth-1 span under parent 7"
 
 let test_span_without_sink () =
   with_tracer @@ fun () ->
@@ -595,6 +612,8 @@ let () =
         [
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "no sink, no cost" `Quick test_span_without_sink;
+          Alcotest.test_case "spans from clock readings" `Quick
+            test_span_from_readings;
         ] );
       ( "jsonl",
         [

@@ -125,6 +125,57 @@ let test_validate_catches_violations () =
   expect_substring "duplicate span id 9";
   Alcotest.(check bool) "invalid" false (Trace_reader.valid v)
 
+(* The span clause: a child must lie within its parent's interval (to
+   1 us) and no span may run backwards.  Parents are emitted after their
+   children, as the serve daemon's [server/request] is. *)
+let test_validate_span_intervals () =
+  let validate spans =
+    let path = Filename.temp_file "rota-trace-spans" ".jsonl" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    let oc = open_out path in
+    List.iteri
+      (fun i (name, id, parent, begin_s, duration_s) ->
+        Printf.fprintf oc
+          "{\"seq\":%d,\"run\":1,\"sim\":null,\"wall_s\":1.0,\"kind\":\"span\",\
+           \"name\":%S,\"id\":%d,\"parent\":%s,\"depth\":%d,\"begin_s\":%.7f,\
+           \"duration_s\":%.7f}\n"
+          (i + 1) name id
+          (match parent with Some p -> string_of_int p | None -> "null")
+          (if parent = None then 0 else 1)
+          begin_s duration_s)
+      spans;
+    close_out oc;
+    Trace_reader.validate_file path
+  in
+  let parent = ("server/request", 1, None, 1754500000.0, 0.002) in
+  let nested =
+    validate
+      [
+        ("server/parse", 2, Some 1, 1754500000.0, 0.0001);
+        (* ends exactly with the parent, up to half a microsecond *)
+        ("server/encode", 3, Some 1, 1754500000.0015, 0.0005005);
+        parent;
+      ]
+  in
+  Alcotest.(check (list string)) "nested spans are valid" [] nested.Trace_reader.errors;
+  let escaping =
+    validate
+      [ ("server/decide", 2, Some 1, 1754500000.001, 0.005); parent ]
+  in
+  Alcotest.(check bool)
+    "a child escaping its parent is flagged" true
+    (List.exists (contains ~sub:"escapes its parent 1") escaping.Trace_reader.errors);
+  let early =
+    validate [ ("server/parse", 2, Some 1, 1754499999.999, 0.0001); parent ]
+  in
+  Alcotest.(check bool)
+    "a child starting before its parent is flagged" true
+    (List.exists (contains ~sub:"escapes its parent 1") early.Trace_reader.errors);
+  let backwards = validate [ ("engine/run", 1, None, 1754500000.0, -0.001) ] in
+  Alcotest.(check bool)
+    "a negative duration is flagged" true
+    (List.exists (contains ~sub:"negative duration") backwards.Trace_reader.errors)
+
 (* Decision provenance in the trace: every admit/reject verdict the
    engine reports has exactly one decision record, strict-parseable,
    whose embedded certificate decodes and is internally well-formed (the
@@ -429,6 +480,8 @@ let () =
       ( "contract",
         [
           Alcotest.test_case "E6 smoke validates" `Quick test_e2e_validate;
+          Alcotest.test_case "span intervals nest" `Quick
+            test_validate_span_intervals;
           Alcotest.test_case "violations are caught" `Quick
             test_validate_catches_violations;
           Alcotest.test_case "decision records carry certificates" `Quick
