@@ -27,14 +27,16 @@ clock-lint:
 bench:
 	dune exec bench/main.exe
 
-# Incremental-ledger smoke: run just the admission-at-scale group so
-# the cached-residual decision path is exercised beyond unit tests (the
+# Incremental-ledger smoke: run just the admission-at-scale groups so
+# the cached-residual decision path — and, in server/decide-scale, the
+# daemon's decide plus its seeded live audit at 10/100/1000 live
+# commitments (not gated yet) — is exercised beyond unit tests (the
 # O(n) invariant checker stays off here — it would hide the incremental
 # cost being measured; the test suite runs it instead).  CI runs this
 # on every push.  The machine-readable snapshot lands in BENCH_0.json
 # (schema rota-bench-1); the committed copy is the repo's perf baseline.
 bench-smoke:
-	dune exec bench/main.exe -- scheduler/admission-scale server/decide-rtt server/telemetry-overhead --json BENCH_0.json
+	dune exec bench/main.exe -- scheduler/admission-scale server/decide-rtt server/decide-scale server/telemetry-overhead --json BENCH_0.json
 
 # Perf-regression gate: re-measure the admission-scale group with the
 # committed baseline's quota (1.5 s per row — enough samples for the
@@ -173,10 +175,12 @@ telemetry-smoke: build
 # logged decision with zero divergence; then push more load across the
 # crash boundary, drain gracefully (SIGTERM must exit 0 via "drained"),
 # and make the offline auditor re-verify the whole WAL — pre-crash and
-# post-crash decisions in one stream, 0 divergent.  Overload leg: a
-# slowed daemon under a closed-loop push far past its decision rate
-# must answer with structured sheds (never unbounded queueing, never
-# failed requests) and still be alive to drain.
+# post-crash decisions in one stream, 0 divergent — and the restarted
+# daemon's own live watchdog, which continues from recovery's auditor,
+# must not have diverged either (no divergence flight dump in its log).
+# Overload leg: a slowed daemon under a closed-loop push far past its
+# decision rate must answer with structured sheds (never unbounded
+# queueing, never failed requests) and still be alive to drain.
 serve-smoke: build
 	@dir=$$(mktemp -d /tmp/rota-serve-smoke.XXXXXX); \
 	bin=./_build/default/bin/main.exe; \
@@ -204,6 +208,10 @@ serve-smoke: build
 	kill -TERM $$pid; wait $$pid || { cat "$$dir/serve2.log"; exit 1; }; \
 	grep -q "rota serve: drained" "$$dir/serve2.log" \
 	  || { cat "$$dir/serve2.log"; exit 1; }; \
+	if grep -q "flight recorder: .*(audit divergence)" "$$dir/serve2.log"; then \
+	  echo "serve-smoke: the restarted daemon's live audit diverged"; \
+	  cat "$$dir/serve2.log"; exit 1; \
+	fi; \
 	"$$bin" audit "$$dir/state/wal.rotb" >"$$dir/audit.log" \
 	  || { cat "$$dir/audit.log"; exit 1; }; \
 	grep -q ", 0 divergent" "$$dir/audit.log" \
@@ -228,7 +236,8 @@ serve-smoke: build
 # Serving-observability smoke: a daemon with the scrape endpoint on is
 # driven by a load run, scraped over the mini HTTP responder, and the
 # exposition must lint and carry the serve-side families (request RTT,
-# admission slack, SLO burn).  The live cockpit must render a frame
+# admission slack, SLO burn) and the cost of assurance (live audit step,
+# residual digest).  The live cockpit must render a frame
 # from the wire `metrics` verb.  Then SIGQUIT: the daemon must dump a
 # flight-recorder ring that `trace validate` accepts as a standalone
 # binary trace, and the periodic --metrics-out file must lint too.
@@ -251,7 +260,8 @@ serve-metrics-smoke: build
 	"$$bin" metrics lint "$$dir/scrape.prom" >/dev/null \
 	  || { echo "serve-metrics-smoke: scrape does not lint"; exit 1; }; \
 	for fam in server_rtt_s server_admit_slack slo_burn_5m slo_burn_1h \
-	  server_requests_total server_queue_wait_s; do \
+	  server_requests_total server_queue_wait_s audit_step_s \
+	  certificate_digest_s; do \
 	  grep -q "$$fam" "$$dir/scrape.prom" \
 	    || { echo "serve-metrics-smoke: family $$fam missing from scrape"; \
 	         cat "$$dir/scrape.prom"; exit 1; }; \

@@ -311,6 +311,77 @@ let bench_server_decide =
                   ignore (Replica.apply r release_op)));
     ]
 
+(* --- server: the cost of a decision and its live audit at scale ------------------ *)
+
+(* What one admitting request costs the daemon in decide-plus-assurance
+   at n live commitments: admit and release through [Replica.apply]
+   (certificate and residual digest included), each record observed by a
+   watchdog that has already audited the whole history, as a restarted
+   daemon's does.  All commitments share one node and one window, so the
+   residual stays a few segments and only the ledgers' own bookkeeping —
+   the controller's and the auditor's — can grow with n. *)
+let bench_decide_scale =
+  let module Watchdog = Rota_audit.Watchdog in
+  let module Live = Rota_audit.Live in
+  let module Events = Rota_obs.Events in
+  let computation id =
+    Computation.make ~id ~start:0 ~deadline:100
+      [
+        Program.make ~name:(Actor_name.make "a1") ~home:l1
+          [ Action.evaluate 1; Action.ready ];
+      ]
+  in
+  let probe = computation "probe" in
+  let admit_op = Wire.Admit { now = 0; computation = probe; budget_ms = None } in
+  let release_op = Wire.Release { now = 0; id = "probe" } in
+  let fixture n =
+    let r = Replica.create Admission.Rota in
+    let live = Live.create () in
+    let seq = ref 0 in
+    let stamp payload =
+      incr seq;
+      { Events.seq = !seq; run = 1; sim = Some (Replica.now r); wall_s = 0.; payload }
+    in
+    let apply op =
+      let payloads, reply = Replica.apply r op in
+      List.iter (fun p -> ignore (Live.step live (stamp p))) payloads;
+      reply
+    in
+    ignore (Live.step live (stamp (Events.Run_started { label = "bench" })));
+    let capacity = Resource_set.singleton (Term.v (n + 16) (iv 0 100) cpu1) in
+    ignore (apply (Wire.Join { now = 0; terms = Rota.Certificate.rects_of_set capacity }));
+    for i = 0 to n - 1 do
+      match
+        apply
+          (Wire.Admit
+             { now = 0; computation = computation (Printf.sprintf "c%05d" i); budget_ms = None })
+      with
+      | Wire.Decided { action = "admit"; _ } -> ()
+      | _ -> failwith "bench setup: every commitment must admit"
+    done;
+    let wd = Watchdog.create ~live () in
+    let step op =
+      let payloads, reply = Replica.apply r op in
+      List.iter (fun p -> Watchdog.observe wd (stamp p)) payloads;
+      reply
+    in
+    (match (step admit_op, step release_op) with
+    | Wire.Decided { action = "admit"; _ }, Wire.Released { existed = true; _ } -> ()
+    | _ -> failwith "bench setup: the probe must admit and release");
+    if (Watchdog.stats wd).Watchdog.divergences <> 0 then
+      failwith "bench setup: the seeded watchdog must verify the probe";
+    step
+  in
+  Test.make_grouped ~name:"server/decide-scale"
+    [
+      Test.make_indexed ~name:"admit-release-audit" ~args:[ 10; 100; 1000 ]
+        (fun n ->
+          let step = fixture n in
+          Staged.stage (fun () ->
+              ignore (step admit_op);
+              ignore (step release_op)));
+    ]
+
 (* --- server: telemetry overhead ------------------------------------------------ *)
 
 (* The cost of the observability plane on the daemon's per-request path:
@@ -703,6 +774,7 @@ let suites =
     ("e5/admit-one-more", bench_admission);
     ("scheduler/admission-scale", bench_admission_scale);
     ("server/decide-rtt", bench_server_decide);
+    ("server/decide-scale", bench_decide_scale);
     ("server/telemetry-overhead", bench_telemetry_overhead);
     ("e6/engine", bench_engine);
     ("sim/fault-repair", bench_fault_repair);

@@ -7,52 +7,104 @@ open Import
    commitment map is driven by decision records and lifecycle events
    (completed/killed/preempted/revoked release their reservations), and
    the baselines' demand ledger is rebuilt from their own certificates.
-   Reservations are kept untruncated — truncation commutes pointwise, so
-   it is applied at check time instead of replaying every tick.
+
+   The auditor keeps its own incremental sum of the live reservations,
+   [committed], updated with one union per commitment and one difference
+   per release, revocation or degradation — the same discipline as
+   [Calendar], but maintained from the stream alone, so the checker
+   shares no state with the decider.  The residual a certificate is
+   checked against is then one difference, [capacity - committed], and
+   the cost of a decision's audit does not grow with the number of live
+   commitments.
+
+   Both sums are truncated at the stream's simulated-time frontier
+   ([advance]), so what the auditor holds is what is still in force, not
+   the history of every slice that ever joined.  Truncation is pointwise
+   per tick and so commutes with union, difference and clamped
+   difference: truncating the stored sums early gives exactly the
+   residual the untruncated ones would give at check time — provided
+   simulated time never decreases within a run.  It does not, for both
+   streams the auditor reads: the engine emits in simulated-time order
+   (its event queue pops in nondecreasing time, and the trace contract,
+   [Trace_reader.validate_file] clause 3, checks it), and a WAL's every
+   record is stamped with [Replica.now], which only moves forward.  Span
+   records are the one exception (emitted at span exit, a parent after
+   its children, e.g. [engine/run] at sim 0 at the very end of a run),
+   so their [sim] never moves the frontier.
 
    The state is bounded by the number of *live* commitments, not by the
    length of the stream: every table entry is created by an admission
-   and removed by the matching lifecycle event, so a watchdog riding an
-   arbitrarily long trace holds only the commitments currently in
-   flight. *)
+   and removed by the matching lifecycle event, and the two sums only
+   hold what lies at or after the frontier. *)
 type ledger = {
   mutable policy : string;
+  mutable frontier : int;  (* both sums are truncated before this tick *)
   mutable capacity : Resource_set.t;
   mutable capacity_known : bool;
       (* Cleared when a join or revocation carries no slice terms (a
          trace from an older binary): from then on the residual cannot
          be reconstructed and residual-dependent checks are skipped. *)
   entries : (string, Resource_set.t) Hashtbl.t;
+      (* Live reservations, as certified (untruncated). *)
+  mutable committed : Resource_set.t;
+      (* The sum of [entries], truncated at [frontier]. *)
   demands : (string, Interval.t * (Located_type.t * int) list) Hashtbl.t;
 }
 
 let fresh_ledger () =
   {
     policy = "";
+    frontier = min_int;
     capacity = Resource_set.empty;
     capacity_known = true;
     entries = Hashtbl.create 64;
+    committed = Resource_set.empty;
     demands = Hashtbl.create 64;
   }
 
 let reset_ledger led ~policy =
   led.policy <- policy;
+  led.frontier <- min_int;
   led.capacity <- Resource_set.empty;
   led.capacity_known <- true;
   Hashtbl.reset led.entries;
+  led.committed <- Resource_set.empty;
   Hashtbl.reset led.demands
 
-let committed led ~now =
-  Hashtbl.fold
-    (fun _ r acc -> Resource_set.union acc (Resource_set.truncate_before r now))
-    led.entries Resource_set.empty
+let advance led now =
+  if now > led.frontier then begin
+    led.frontier <- now;
+    led.capacity <- Resource_set.truncate_before led.capacity now;
+    led.committed <- Resource_set.truncate_before led.committed now
+  end
 
-let residual led ~now =
-  match
-    Resource_set.diff
-      (Resource_set.truncate_before led.capacity now)
-      (committed led ~now)
-  with
+(* A set entering either sum is cut at the frontier first, so the sums
+   keep holding nothing from the past. *)
+let in_force led set = Resource_set.truncate_before set led.frontier
+
+let uncommit led id =
+  match Hashtbl.find_opt led.entries id with
+  | None -> ()
+  | Some r -> (
+      Hashtbl.remove led.entries id;
+      match Resource_set.diff led.committed (in_force led r) with
+      | Ok c -> led.committed <- c
+      | Error d ->
+          (* [committed] is the sum of the live entries, [r] among them,
+             so the difference is defined unless the sum has drifted. *)
+          invalid_arg
+            (Format.asprintf
+               "live auditor: invariant violation: releasing %s: the \
+                committed sum does not cover its reservation (%a)"
+               id Resource_set.pp_deficit d))
+
+let commit led id r =
+  uncommit led id;
+  Hashtbl.replace led.entries id r;
+  led.committed <- Resource_set.union led.committed (in_force led r)
+
+let residual led =
+  match Resource_set.diff led.capacity led.committed with
   | Ok r -> Ok r
   | Error d ->
       Error
@@ -72,16 +124,17 @@ let is_live led ~now id =
   | None -> false
 
 let release led id =
-  Hashtbl.remove led.entries id;
+  uncommit led id;
   Hashtbl.remove led.demands id
 
 (* Recompute the aggregate baseline's feasibility table from the replayed
    ledger and compare it row by row with what the decider recorded. *)
 let recheck_rows led ~now ~window rows =
-  let cap = Resource_set.truncate_before led.capacity now in
   List.concat_map
     (fun (r : Certificate.row) ->
-      let capacity = Resource_set.integrate cap r.Certificate.row_type window in
+      let capacity =
+        Resource_set.integrate led.capacity r.Certificate.row_type window
+      in
       let committed =
         Hashtbl.fold
           (fun _ (w, totals) acc ->
@@ -124,11 +177,9 @@ let audit_decision led ~now ~id ~action (cert : Certificate.t) =
     if not led.capacity_known then (
       if !skip = None then
         skip := Some "capacity terms missing: residual cannot be reconstructed")
-    else match residual led ~now with Error m -> err "%s" m | Ok r -> k r
+    else match residual led with Error m -> err "%s" m | Ok r -> k r
   in
-  let commit () =
-    Hashtbl.replace led.entries id (Certificate.reservation cert)
-  in
+  let commit () = commit led id (Certificate.reservation cert) in
   (match (action, cert.Certificate.evidence) with
   | "admit", Certificate.Schedules _ ->
       if is_live led ~now id then err "admitted an id that is already live";
@@ -264,12 +315,18 @@ let apply_terms led terms ~f =
   | Json.Null -> led.capacity_known <- false
   | terms -> (
       match Certificate.rects_of_json terms with
-      | Ok rects -> led.capacity <- f led.capacity (Certificate.set_of_rects rects)
+      | Ok rects ->
+          led.capacity <-
+            f led.capacity (in_force led (Certificate.set_of_rects rects))
       | Error _ -> led.capacity_known <- false)
 
 let step t (e : Events.t) =
   t.events <- t.events + 1;
-  (match e.Events.sim with Some tm -> t.now <- tm | None -> ());
+  (match (e.Events.sim, e.Events.payload) with
+  | _, Events.Span _ | None, _ -> ()
+  | Some tm, _ ->
+      t.now <- tm;
+      advance t.led tm);
   let now = t.now in
   let led = t.led in
   match e.Events.payload with
@@ -294,10 +351,10 @@ let step t (e : Events.t) =
          arrives in the Capacity_joined record that follows it. *)
       None
   | Events.Commitment_revoked { id; _ } ->
-      Hashtbl.remove led.entries id;
+      uncommit led id;
       None
   | Events.Commitment_degraded { id; released; _ } ->
-      if released then Hashtbl.remove led.entries id;
+      if released then uncommit led id;
       None
   | Events.Completed { id } | Events.Killed { id; _ } | Events.Preempted { id; _ }
     ->
@@ -345,6 +402,6 @@ let residual_digest t =
   if not t.led.capacity_known then
     Error "capacity terms missing: residual cannot be reconstructed"
   else
-    match residual t.led ~now:t.now with
+    match residual t.led with
     | Ok r -> Ok (Certificate.digest r)
     | Error m -> Error m

@@ -12,11 +12,15 @@ open Import
 
     State is the reconstructed world as of the last event: the run's
     capacity (joined slices minus fault slices), the commitment ledger
-    (reservations and baseline demand windows currently in force), and
-    per-stream counters.  Memory is bounded by the number of {e live}
-    commitments — every table entry is created by an admission and
-    removed by its lifecycle event — never by stream length, so the
-    watchdog can ride an unbounded trace. *)
+    (reservations and baseline demand windows currently in force) with
+    the sum of its reservations kept as one cached set, and per-stream
+    counters.  The capacity and the cached sum are truncated at the
+    stream's simulated-time frontier, which never moves back within a
+    run.  Memory is bounded by the number of {e live} commitments —
+    every table entry is created by an admission and removed by its
+    lifecycle event — never by stream length, so the watchdog can ride
+    an unbounded trace; and a decision's check costs one resource-set
+    difference (plus the digest), not a fold over the ledger. *)
 
 type t
 (** Mutable auditor state.  One [t] audits one event stream (possibly

@@ -23,6 +23,7 @@ exception Trip of { seq : int; id : string; message : string }
 
 type t = {
   live : Live.t;
+  base : stats;  (* the adopted auditor's counts at creation *)
   mode : mode;
   on_outcome : (Live.outcome -> unit) option;
   mutable divergences : int;  (* complaints, not decisions *)
@@ -34,22 +35,26 @@ let c_verified = Metrics.counter "audit/verified"
 let c_skipped = Metrics.counter "audit/skipped"
 let c_divergence = Metrics.counter "audit/divergence"
 let g_lag = Metrics.gauge "audit/lag"
+let h_step = Metrics.histogram "audit/step_s"
 
-let create ?(mode = Warn) ?on_outcome () =
-  { live = Live.create (); mode; on_outcome; divergences = 0 }
+let live_counts live =
+  {
+    decisions = Live.decisions live;
+    verified = Live.verified live;
+    skipped = Live.skipped live;
+    divergences = 0;
+  }
+
+let create ?(mode = Warn) ?on_outcome ?(live = Live.create ()) () =
+  { live; base = live_counts live; mode; on_outcome; divergences = 0 }
 
 let stats t =
-  {
-    decisions = Live.decisions t.live;
-    verified = Live.verified t.live;
-    skipped = Live.skipped t.live;
-    divergences = t.divergences;
-  }
+  { (diff_stats (live_counts t.live) t.base) with divergences = t.divergences }
 
 let live t = t.live
 
 let observe t (e : Events.t) =
-  match Live.step t.live e with
+  match Metrics.time h_step (fun () -> Live.step t.live e) with
   | None -> ()
   | Some (o : Live.outcome) ->
       (* Verification delay behind the event's own stamp, in

@@ -36,23 +36,33 @@ type stats = {
 
 type t
 
-val create : ?mode:mode -> ?on_outcome:(Live.outcome -> unit) -> unit -> t
+val create :
+  ?mode:mode -> ?on_outcome:(Live.outcome -> unit) -> ?live:Live.t -> unit -> t
 (** [mode] defaults to [Warn].  [on_outcome] sees every decision's
     outcome as it is verified (before any [Fail_fast] raise) — the hook
-    tests and [--follow] use. *)
+    tests and [--follow] use.  [live] is the auditor to continue from
+    (default: a fresh one, for a stream observed from its start): a
+    restarted daemon passes the [Wal.recovery]'s, which has already
+    stepped over the whole WAL, so its first live verdict is checked
+    against the recovered state rather than an empty ledger. *)
 
 val observe : t -> Events.t -> unit
-(** Feed one event.  Counters touched per decision: [audit/verified],
-    [audit/skipped], or [audit/divergence] (one per complaint), plus the
-    [audit/lag] gauge — verification delay behind the event's [wall_s]
-    stamp, in microseconds. *)
+(** Feed one event.  Every event is timed into the [audit/step_s]
+    histogram (the cost of live assurance, on the scrape).  Counters
+    touched per decision: [audit/verified], [audit/skipped], or
+    [audit/divergence] (one per complaint), plus the [audit/lag] gauge —
+    verification delay behind the event's [wall_s] stamp, in
+    microseconds. *)
 
 val sink : t -> Sink.t
 (** The watchdog as a sink ({!observe} on emit, no-op close), ready to
     {!Sink.tee} next to the trace sink. *)
 
 val stats : t -> stats
-(** Totals since {!create}. *)
+(** Totals since {!create}: only the decisions this watchdog observed.
+    Decisions an adopted auditor ([create ~live]) had already verified —
+    a recovered WAL's — are not counted; recovery reports those itself
+    ([Wal.recovery]'s [verified]/[diverged]). *)
 
 val no_stats : stats
 

@@ -57,34 +57,63 @@ let theorem_of_name = function
 (* --- digests -------------------------------------------------------------- *)
 
 (* 64-bit FNV-1a, folded over the canonical segment decomposition in
-   type order.  Hashtbl.hash would do, but its value is not specified
-   across compiler versions; a trace audited on a different build must
-   recompute the same digest. *)
-let digest set =
-  let h = ref 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  let mix_byte b = h := Int64.mul (Int64.logxor !h (Int64.of_int b)) prime in
-  let mix_int i =
-    for k = 0 to 7 do
-      mix_byte ((i lsr (8 * k)) land 0xff)
+   type order: per located type, the bytes of its name and a 0
+   terminator (so adjacent names cannot alias), then the eight
+   little-endian bytes of every segment's start, stop and rate.
+   Hashtbl.hash would do, but its value is not specified across
+   compiler versions; a trace audited on a different build must
+   recompute the same digest.
+
+   This runs on every decision (the certificate pins the residual) and
+   on every audit, so it is one closure-free loop over the raw slabs:
+   the Int64 state lives in a local ref the compiler keeps unboxed, and
+   a located type's name bytes are rendered once and memoized instead
+   of going through Format on every call. *)
+let fnv_offset = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
+
+module Names = Hashtbl.Make (Located_type)
+
+(* Located types come from the system's topology, so the memo stays
+   small; the reset only bounds it against a client inventing types. *)
+let names = Names.create 64
+
+let name_bytes xi =
+  match Names.find_opt names xi with
+  | Some s -> s
+  | None ->
+      if Names.length names >= 4096 then Names.reset names;
+      let s = Located_type.to_string xi in
+      Names.add names xi s;
+      s
+
+let fnv1a set =
+  let types, profiles = Resource_set.unsafe_slabs set in
+  let h = ref fnv_offset in
+  for i = 0 to Array.length types - 1 do
+    let name = name_bytes (Array.unsafe_get types i) in
+    for j = 0 to String.length name - 1 do
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get name j))))
+          fnv_prime
+    done;
+    h := Int64.mul !h fnv_prime (* the 0 terminator: xor 0 is a no-op *);
+    let slab = Profile.unsafe_slab (Array.unsafe_get profiles i) in
+    for j = 0 to Array.length slab - 1 do
+      let v = Array.unsafe_get slab j in
+      for k = 0 to 7 do
+        h :=
+          Int64.mul
+            (Int64.logxor !h (Int64.of_int ((v lsr (8 * k)) land 0xff)))
+            fnv_prime
+      done
     done
-  in
-  let mix_string s =
-    String.iter (fun c -> mix_byte (Char.code c)) s;
-    (* Terminator, so adjacent strings cannot alias. *)
-    mix_byte 0
-  in
-  Resource_set.fold
-    (fun xi p () ->
-      mix_string (Located_type.to_string xi);
-      List.iter
-        (fun (s : Profile.segment) ->
-          mix_int (Interval.start s.Profile.interval);
-          mix_int (Interval.stop s.Profile.interval);
-          mix_int s.Profile.rate)
-        (Profile.segments p))
-    set ();
+  done;
   Printf.sprintf "%016Lx" !h
+
+let h_digest = Rota_obs.Metrics.histogram "certificate/digest_s"
+let digest set = Rota_obs.Metrics.time h_digest (fun () -> fnv1a set)
 
 (* --- rectangles <-> resource sets ----------------------------------------- *)
 

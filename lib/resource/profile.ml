@@ -28,6 +28,8 @@ let segments p =
         rate = seg_rate p i;
       })
 
+let unsafe_slab (p : t) = p
+
 (* --- scratch arena -------------------------------------------------------- *)
 
 (* Merges build their result here and copy the exact-size slab out at

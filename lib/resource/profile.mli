@@ -42,6 +42,12 @@ val of_segments : (Interval.t * int) list -> t
 val segments : t -> segment list
 (** Canonical decomposition, leftmost first. *)
 
+val unsafe_slab : t -> int array
+(** The representation itself: the canonical segments as flat
+    [(start, stop, rate)] triples, leftmost first — {!segments} without
+    building a list.  For hot loops that only read (the residual
+    digest); writing into it breaks every invariant of the module. *)
+
 val rate_at : t -> Time.t -> int
 (** Availability rate at a tick ([0] where undefined). *)
 

@@ -346,6 +346,8 @@ let fold f set init =
   done;
   !acc
 
+let unsafe_slabs set = (set.types, set.profiles)
+
 let equal a b =
   a == b
   || size a = size b

@@ -97,6 +97,12 @@ val map_profiles : (Located_type.t -> Profile.t -> Profile.t) -> t -> t
 
 val fold : (Located_type.t -> Profile.t -> 'a -> 'a) -> t -> 'a -> 'a
 
+val unsafe_slabs : t -> Located_type.t array * Profile.t array
+(** The representation itself: the types in ascending order and their
+    (non-empty) profiles, index for index — {!fold} without a closure.
+    For hot loops that only read (the residual digest); writing into
+    either array breaks every invariant of the module. *)
+
 val update : Located_type.t -> (Profile.t -> Profile.t) -> t -> t
 (** Replaces one type's profile with a function of its current value. *)
 

@@ -258,7 +258,12 @@ let run ?(on_ready = fun (_ : Wal.recovery) -> ()) cfg =
       (match flight with
       | None -> ()
       | Some f ->
-          let watchdog = Watchdog.create ~on_outcome () in
+          (* The watchdog continues from recovery's auditor, which has
+             already stepped over the whole WAL: its ledger, capacity
+             and clock are the recovered state's, so the first verdict
+             after a restart is checked against what the log proves,
+             not against an empty ledger. *)
+          let watchdog = Watchdog.create ~on_outcome ~live:recovery.Wal.live () in
           let metrics_out =
             Option.map
               (Openmetrics.snapshot_sink ~every:cfg.metrics_every)

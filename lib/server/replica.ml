@@ -4,11 +4,14 @@ include Rota_scheduler.Replica
 let run_label policy =
   Printf.sprintf "serve policy=%s" (Admission.policy_name policy)
 
-let known t id =
+(* Is [id] live once the clock reaches [at]?  Calendar entries stay
+   until released; demand records expire with their windows (the
+   controller prunes them when it advances). *)
+let live_at t id ~at =
   let ctrl = controller t in
   Calendar.find (Admission.calendar ctrl) ~computation:id <> None
   || List.exists
-       (fun (d, _, _) -> String.equal d id)
+       (fun (d, w, _) -> String.equal d id && Interval.stop w > at)
        (Admission.admitted_demands ctrl)
 
 let query t what =
@@ -47,9 +50,15 @@ let apply ?cid t (op : Wire.op) =
             digest = cert.Certificate.digest;
           } )
   | Wire.Release { now; id } ->
-      advance t now;
-      if known t id then
+      (* A release that finds nothing to release changes nothing, not
+         even the clock.  It logs no record, and every state change must
+         be in the WAL: a clock moved here would be in the next snapshot
+         but not in the log, and recovery through that snapshot would
+         disagree with the log's own audit. *)
+      if live_at t id ~at:(max now (Rota_scheduler.Replica.now t)) then begin
+        advance t now;
         (Lazy.force (complete t id Finished), Wire.Released { id; existed = true })
+      end
       else ([], Wire.Released { id; existed = false })
   | Wire.Revoke { now; terms } ->
       advance t now;

@@ -54,9 +54,9 @@ let fresh_writer ~path ~label =
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let w = { fd; buf = Buffer.create 4096; last_seq = 0; durable = 0 } in
   Buffer.add_string w.buf Binary.header;
-  ignore (append w ~sim:0 [ Events.Run_started { label } ]);
+  let events = append w ~sim:0 [ Events.Run_started { label } ] in
   sync w;
-  w
+  (w, events)
 
 (* Reopen after a scan: cut the file back to the last complete record
    (an interrupted append was never acknowledged, so dropping it loses
@@ -129,14 +129,15 @@ type recovery = {
   verified : int;
   diverged : int;
   digest : string;
+  live : Live.t;
 }
 
 (* One pass over the whole WAL: every record feeds the independent
    auditor (the stream is the proof of what recovery must produce),
-   records past [base_seq] also replay into the replica.  Returns the
-   position of the last complete record so the caller can cut an
-   interrupted tail. *)
-let scan ~wal ~label ~replica ~base_seq =
+   records past [base_seq] also replay into the replica.  On agreement
+   the writer reopens at the last complete record, cutting an
+   interrupted tail, and the auditor is handed on with the replica. *)
+let scan ~wal ~label ~replica ~base_seq ~from_snapshot =
   let ic = open_in_bin wal in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
@@ -190,14 +191,28 @@ let scan ~wal ~label ~replica ~base_seq =
              "recovered residual digest %s disagrees with the audited stream's %s"
              mine audited)
       else
-        Ok (last_good, last_seq, scanned, replayed, truncated, !verified, !diverged, mine))
+        Ok
+          {
+            replica;
+            writer = reopen_writer ~path:wal ~at:last_good ~last_seq;
+            from_snapshot;
+            scanned;
+            replayed;
+            truncated;
+            verified = !verified;
+            diverged = !diverged;
+            digest = mine;
+            live;
+          })
 
 let recover ?cost_model ~dir ~policy () =
   let wal = wal_path ~dir in
   let label = Replica.run_label policy in
   if not (Sys.file_exists wal) then begin
     let replica = Replica.create ?cost_model policy in
-    let writer = fresh_writer ~path:wal ~label in
+    let writer, events = fresh_writer ~path:wal ~label in
+    let live = Live.create () in
+    List.iter (fun e -> ignore (Live.step live e)) events;
     Ok
       {
         replica;
@@ -209,6 +224,7 @@ let recover ?cost_model ~dir ~policy () =
         verified = 0;
         diverged = 0;
         digest = Replica.residual_digest replica;
+        live;
       }
   end
   else
@@ -218,13 +234,7 @@ let recover ?cost_model ~dir ~policy () =
         | Some (snap_seq, replica) -> (replica, snap_seq, true)
         | None -> (Replica.create ?cost_model policy, 0, false)
       in
-      let* last_good, last_seq, scanned, replayed, truncated, verified, diverged, digest =
-        scan ~wal ~label ~replica ~base_seq
-      in
-      let writer = reopen_writer ~path:wal ~at:last_good ~last_seq in
-      Ok
-        { replica; writer; from_snapshot; scanned; replayed; truncated;
-          verified; diverged; digest }
+      scan ~wal ~label ~replica ~base_seq ~from_snapshot
     in
     let base =
       let path = snapshot_path ~dir in

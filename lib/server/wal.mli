@@ -74,6 +74,12 @@ type recovery = {
   verified : int;  (** Auditor-verified decisions in the stream. *)
   diverged : int;
   digest : string;  (** The agreed residual digest. *)
+  live : Live.t;
+      (** The independent auditor, stepped over the whole WAL (the
+          [run-started] record of a fresh one): the reconstruction the
+          recovered state was checked against.  A live watchdog built
+          on it ([Watchdog.create ~live]) continues auditing from the
+          recovered state instead of from an empty ledger. *)
 }
 
 val recover :

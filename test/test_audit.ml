@@ -12,6 +12,18 @@ module Tracer = Rota_obs.Tracer
 module Audit = Rota_audit.Audit
 module Live = Audit.Live
 module Watchdog = Rota_audit.Watchdog
+module Located_type = Rota_resource.Located_type
+module Location = Rota_resource.Location
+module Profile = Rota_resource.Profile
+module Resource_set = Rota_resource.Resource_set
+module Interval = Rota_interval.Interval
+module Certificate = Rota.Certificate
+module Json = Rota_obs.Json
+module Trace = Rota_sim.Trace
+module Computation = Rota_actor.Computation
+module Wire = Rota_server.Wire
+module Replica = Rota_server.Replica
+module Wal = Rota_server.Wal
 
 let () = Calendar.set_self_check true
 
@@ -347,6 +359,307 @@ let test_explain_renders_decision () =
       | Ok _ -> Alcotest.fail "unknown id must yield no blocks"
       | Error _ -> Alcotest.fail "unknown id must not be a read error")
 
+(* --- the residual digest, pinned byte for byte ----------------------------- *)
+
+(* The digest as first written: a closure per byte over the boxed Int64
+   state, [Located_type.to_string] per type, a segment list per profile.
+   Every WAL, snapshot and committed fixture carries digests made this
+   way, so the production loop must return exactly these strings. *)
+let reference_digest set =
+  let h = ref 0xcbf29ce484222325L in
+  let prime = 0x100000001b3L in
+  let mix_byte b = h := Int64.mul (Int64.logxor !h (Int64.of_int b)) prime in
+  let mix_int i =
+    for k = 0 to 7 do
+      mix_byte ((i lsr (8 * k)) land 0xff)
+    done
+  in
+  let mix_string s =
+    String.iter (fun c -> mix_byte (Char.code c)) s;
+    mix_byte 0
+  in
+  Resource_set.fold
+    (fun xi p () ->
+      mix_string (Located_type.to_string xi);
+      List.iter
+        (fun (s : Profile.segment) ->
+          mix_int (Interval.start s.Profile.interval);
+          mix_int (Interval.stop s.Profile.interval);
+          mix_int s.Profile.rate)
+        (Profile.segments p))
+    set ();
+  Printf.sprintf "%016Lx" !h
+
+(* Random sets over every located-type kind — network legs and custom
+   kinds included — with ticks drawn small, around the sign boundary
+   and near [max_int], so every byte of the encoded ints is exercised. *)
+let set_gen =
+  let open QCheck.Gen in
+  let loc = map (fun i -> Location.make (Printf.sprintf "n%d" i)) (int_bound 5) in
+  let ltype =
+    oneof
+      [
+        map Located_type.cpu loc;
+        map Located_type.memory loc;
+        map2 (fun src dst -> Located_type.network ~src ~dst) loc loc;
+        map2 Located_type.custom (oneofl [ "gpu"; "disk"; "lic,ense" ]) loc;
+      ]
+  in
+  let tick =
+    oneof
+      [
+        int_range (-50) 500;
+        int_range (-(1 lsl 40)) (1 lsl 40);
+        map (fun d -> max_int - 1_000_000 + d) (int_bound 500_000);
+      ]
+  in
+  let segment =
+    map3
+      (fun a len rate -> (Interval.of_pair a (a + 1 + len), rate))
+      tick (int_bound 1000)
+      (oneof [ int_range 1 9; int_range 1 (1 lsl 40) ])
+  in
+  map
+    (List.fold_left
+       (fun acc (xi, segs) ->
+         Resource_set.add_profile xi (Profile.of_segments segs) acc)
+       Resource_set.empty)
+    (list_size (int_bound 12) (pair ltype (list_size (int_range 1 4) segment)))
+
+let prop_digest_pinned =
+  QCheck.Test.make ~count:500
+    ~name:"digest: identical bytes to the reference FNV-1a"
+    (QCheck.make ~print:(Format.asprintf "%a" Resource_set.pp) set_gen)
+    (fun set ->
+      let got = Certificate.digest set and want = reference_digest set in
+      if got <> want then
+        QCheck.Test.fail_reportf "digest %s, reference %s" got want;
+      true)
+
+let test_digest_empty () =
+  Alcotest.(check string) "empty set" (reference_digest Resource_set.empty)
+    (Certificate.digest Resource_set.empty);
+  Alcotest.(check string) "FNV-1a offset basis" "cbf29ce484222325"
+    (Certificate.digest Resource_set.empty)
+
+(* --- the incremental auditor against the from-scratch fold ----------------- *)
+
+(* The reconstruction [Live] used to redo on every decision, kept here
+   as the specification of its cached sums: the capacity joins minus the
+   fault slices, minus the sum of the live reservations, all untruncated
+   and truncated at [now] only when asked. *)
+type reference = {
+  mutable now : int;
+  mutable capacity : Resource_set.t;
+  mutable known : bool;
+  reservations : (string, Resource_set.t) Hashtbl.t;
+  last_sim : (int, int) Hashtbl.t;  (* run -> last non-span sim *)
+}
+
+let reference () =
+  {
+    now = 0;
+    capacity = Resource_set.empty;
+    known = true;
+    reservations = Hashtbl.create 16;
+    last_sim = Hashtbl.create 4;
+  }
+
+let ref_terms r terms ~f =
+  match Certificate.rects_of_json terms with
+  | Ok rects -> r.capacity <- f r.capacity (Certificate.set_of_rects rects)
+  | Error _ -> r.known <- false
+
+(* Also checks what the auditor's truncation relies on: within a run,
+   the simulated time of non-span records never decreases. *)
+let ref_step r (e : Events.t) =
+  (match (e.Events.payload, e.Events.sim) with
+  | Events.Span _, _ | _, None -> ()
+  | _, Some t ->
+      (match Hashtbl.find_opt r.last_sim e.Events.run with
+      | Some prev when t < prev ->
+          QCheck.Test.fail_reportf "run %d: sim %d after %d at seq %d"
+            e.Events.run t prev e.Events.seq
+      | _ -> ());
+      Hashtbl.replace r.last_sim e.Events.run t;
+      r.now <- t);
+  match e.Events.payload with
+  | Events.Run_started _ ->
+      r.capacity <- Resource_set.empty;
+      r.known <- true;
+      Hashtbl.reset r.reservations
+  | Events.Capacity_joined { terms; _ } -> ref_terms r terms ~f:Resource_set.union
+  | Events.Fault_injected { fault = "revocation" | "blackout"; terms; _ } ->
+      ref_terms r terms ~f:Resource_set.diff_clamped
+  | Events.Commitment_revoked { id; _ }
+  | Events.Commitment_degraded { id; released = true; _ }
+  | Events.Completed { id }
+  | Events.Killed { id; _ }
+  | Events.Preempted { id; _ } ->
+      Hashtbl.remove r.reservations id
+  | Events.Decision { id; action = "admit" | "repair"; certificate; _ } -> (
+      match Certificate.of_json certificate with
+      | Ok ({ Certificate.evidence = Certificate.Schedules _; _ } as cert) ->
+          Hashtbl.replace r.reservations id (Certificate.reservation cert)
+      | Ok _ | Error _ -> ())
+  | _ -> ()
+
+let ref_digest r =
+  let committed =
+    Hashtbl.fold
+      (fun _ res acc ->
+        Resource_set.union acc (Resource_set.truncate_before res r.now))
+      r.reservations Resource_set.empty
+  in
+  if not r.known then None
+  else
+    match
+      Resource_set.diff (Resource_set.truncate_before r.capacity r.now) committed
+    with
+    | Ok res -> Some (Certificate.digest res)
+    | Error _ -> None
+
+let agree ~where r live =
+  match (ref_digest r, Live.residual_digest live) with
+  | Some want, Ok got when want = got -> ()
+  | None, Error _ -> ()
+  | want, got ->
+      QCheck.Test.fail_reportf "%s: reference %s, auditor %s" where
+        (Option.value want ~default:"(none)")
+        (match got with Ok d -> d | Error m -> "error: " ^ m)
+
+let step_both ~live r (e : Events.t) =
+  ignore (Live.step live e);
+  ref_step r e;
+  agree ~where:(Printf.sprintf "seq %d (%s)" e.Events.seq (Events.kind e.Events.payload)) r live
+
+let collect run =
+  let seen = ref [] in
+  Tracer.reset ();
+  Tracer.install (Sink.make ~emit:(fun e -> seen := e :: !seen) ~close:ignore);
+  Fun.protect ~finally:Tracer.reset run;
+  List.rev !seen
+
+(* QCheck: after every event of a faulted engine run — every policy,
+   repair on — the auditor's cached residual digests exactly as the
+   from-scratch fold's. *)
+let prop_live_matches_fold_engine =
+  QCheck.Test.make ~count:20
+    ~name:"live: cached residual = from-scratch fold, engine runs"
+    QCheck.(pair (int_bound 1000) (int_bound 100))
+    (fun (seed, fault_seed) ->
+      let p = params ~seed in
+      let trace = Scenario.trace p in
+      let faults = Scenario.fault_plan ~fault_seed ~intensity:1.5 p in
+      let events =
+        collect (fun () ->
+            List.iter
+              (fun policy -> ignore (Engine.run ~faults ~repair:true ~policy trace))
+              Admission.all_policies)
+      in
+      let live = Live.create () and r = reference () in
+      List.iter (step_both ~live r) events;
+      Live.decisions live > 0)
+
+let temp_dir prefix =
+  let path = Filename.temp_file prefix "" in
+  Sys.remove path;
+  Unix.mkdir path 0o755;
+  path
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+(* A random daemon session in time order: the scenario's joins and
+   arrivals, revocations of whole joined slices (evictions), and
+   releases of arrivals (admitted or not) at random later ticks. *)
+let daemon_ops ~seed =
+  let p = { (params ~seed) with arrivals = 16; churn_joins = 4 } in
+  let trace = Scenario.trace p in
+  let prng = Random.State.make [| seed |] in
+  let later at = at + 1 + Random.State.int prng 40 in
+  let timed =
+    List.concat_map
+      (fun (at, ev) ->
+        match ev with
+        | Trace.Join theta ->
+            let terms = Certificate.rects_of_set theta in
+            (at, Wire.Join { now = at; terms })
+            ::
+            (if Random.State.int prng 3 = 0 then
+               let t = later at in
+               [ (t, Wire.Revoke { now = t; terms }) ]
+             else [])
+        | Trace.Arrive computation ->
+            let t = later at in
+            (at, Wire.Admit { now = at; computation; budget_ms = None })
+            ::
+            (if Random.State.bool prng then
+               [ (t, Wire.Release { now = t; id = computation.Computation.id }) ]
+             else [])
+        | Trace.Arrive_session _ -> [])
+      (Trace.events trace)
+  in
+  List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) timed)
+
+(* QCheck: the same over a random daemon session, with a snapshot and a
+   restart at a random point: the auditor recovery hands back continues
+   exactly where the stream's reference is. *)
+let prop_live_matches_fold_daemon =
+  QCheck.Test.make ~count:25
+    ~name:"live: cached residual = from-scratch fold, daemon ops and recovery"
+    QCheck.(
+      make
+        ~print:(fun (seed, cut, policy) ->
+          Printf.sprintf "seed=%d cut=%d policy=%s" seed cut
+            (Admission.policy_name policy))
+        Gen.(triple (int_bound 1000) (int_bound 1000) (oneofl Admission.all_policies)))
+    (fun (seed, cut, policy) ->
+      let dir = temp_dir "rota-live-diff" in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let recover () =
+        match Wal.recover ~dir ~policy () with
+        | Ok rc -> rc
+        | Error m -> QCheck.Test.fail_reportf "recover: %s" m
+      in
+      let ops = daemon_ops ~seed in
+      let cut = cut mod (List.length ops + 1) in
+      let r = reference () in
+      let rc = recover () in
+      agree ~where:"fresh WAL" r rc.Wal.live;
+      let state = ref rc in
+      List.iteri
+        (fun i op ->
+          if i = cut then begin
+            let rc = !state in
+            Wal.sync rc.Wal.writer;
+            (match
+               Wal.save_snapshot ~path:(Wal.snapshot_path ~dir) rc.Wal.writer
+                 rc.Wal.replica
+             with
+            | Ok () -> ()
+            | Error m -> QCheck.Test.fail_reportf "snapshot: %s" m);
+            Wal.close rc.Wal.writer;
+            let back = recover () in
+            if not back.Wal.from_snapshot then
+              QCheck.Test.fail_report "recovery ignored the snapshot";
+            agree ~where:(Printf.sprintf "recovered at op %d" i) r back.Wal.live;
+            state := back
+          end;
+          let rc = !state in
+          let payloads, _ = Replica.apply rc.Wal.replica op in
+          if payloads <> [] then
+            List.iter
+              (step_both ~live:rc.Wal.live r)
+              (Wal.append rc.Wal.writer ~sim:(Replica.now rc.Wal.replica) payloads))
+        ops;
+      Wal.close !state.Wal.writer;
+      true)
+
 let () =
   Alcotest.run "audit"
     [
@@ -370,6 +683,16 @@ let () =
             test_audit_catches_tampering;
           Alcotest.test_case "fail-fast watchdog trips mid-stream" `Quick
             test_watchdog_trips_on_tampering;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "empty set" `Quick test_digest_empty;
+          QCheck_alcotest.to_alcotest prop_digest_pinned;
+        ] );
+      ( "live",
+        [
+          QCheck_alcotest.to_alcotest prop_live_matches_fold_engine;
+          QCheck_alcotest.to_alcotest prop_live_matches_fold_daemon;
         ] );
       ( "explain",
         [

@@ -31,6 +31,7 @@ module Summary = Rota_obs.Summary
 module Trace_reader = Rota_obs.Trace_reader
 module Audit = Rota_audit.Audit
 module Live = Rota_audit.Audit.Live
+module Watchdog = Rota_audit.Watchdog
 
 let temp_dir prefix =
   let path = Filename.temp_file prefix "" in
@@ -246,6 +247,51 @@ let test_snapshot_recovery () =
       let spec, _ = replay_prefix ~path:(Wal.wal_path ~dir) ~policy in
       Alcotest.(check bool) "prefix state recovered" true
         (same_state spec r.Wal.replica)
+
+(* A restarted daemon's watchdog continues from recovery's auditor: cut
+   the WAL inside its last record (a crash mid-append), recover, build
+   the watchdog on [recovery.live], and every decision after the restart
+   re-verifies.  A watchdog started empty, as before, flags them. *)
+let test_seeded_watchdog () =
+  let dir = temp_dir "rota-wal-seeded" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let policy = Admission.Rota in
+  let ops = ops_of ~seed:42 in
+  let half = List.length ops / 2 in
+  let before = List.filteri (fun i _ -> i < half) ops
+  and after = List.filteri (fun i _ -> i >= half) ops in
+  ignore (build_wal ~dir ~policy before);
+  let wal = Wal.wal_path ~dir in
+  let full = In_channel.with_open_bin wal In_channel.input_all in
+  Out_channel.with_open_bin wal (fun oc ->
+      Out_channel.output_string oc (String.sub full 0 (String.length full - 3)));
+  match Wal.recover ~dir ~policy () with
+  | Error m -> Alcotest.failf "recover: %s" m
+  | Ok r ->
+      Alcotest.(check bool) "the cut record was dropped" true (r.Wal.truncated > 0);
+      let seeded = Watchdog.create ~live:r.Wal.live () and empty = Watchdog.create () in
+      let decisions = ref 0 in
+      List.iter
+        (fun op ->
+          let payloads, _ = Replica.apply r.Wal.replica op in
+          List.iter
+            (fun (e : Events.t) ->
+              (match e.Events.payload with
+              | Events.Decision _ -> incr decisions
+              | _ -> ());
+              Watchdog.observe seeded e;
+              Watchdog.observe empty e)
+            (Wal.append r.Wal.writer ~sim:(Replica.now r.Wal.replica) payloads))
+        after;
+      Wal.close r.Wal.writer;
+      let s = Watchdog.stats seeded in
+      Alcotest.(check bool) "decisions after the restart" true (!decisions > 0);
+      Alcotest.(check int) "stats count only the observed decisions" !decisions
+        s.Watchdog.decisions;
+      Alcotest.(check int) "every one verified" !decisions s.Watchdog.verified;
+      Alcotest.(check int) "no divergence" 0 s.Watchdog.divergences;
+      Alcotest.(check bool) "an empty watchdog diverges" true
+        ((Watchdog.stats empty).Watchdog.divergences > 0)
 
 (* --- the shedding policy ----------------------------------------------------- *)
 
@@ -729,6 +775,8 @@ let () =
         :: [
              Alcotest.test_case "snapshot-assisted recovery" `Quick
                test_snapshot_recovery;
+             Alcotest.test_case "watchdog seeded from recovery" `Quick
+               test_seeded_watchdog;
            ] );
       ( "shed",
         [
