@@ -9,7 +9,8 @@ test:
 	dune runtest
 
 # One clock: lib/obs/clock.ml is the only code in lib/, bin/ and bench/
-# that reads time.  Everything else takes its durations and stamps from
+# that reads time (gettimeofday, Unix.time, Sys.time, the monotonic
+# clock).  Everything else takes its durations and stamps from
 # Rota_obs.Clock (monotonic), so a wall-clock step can neither run a
 # duration negative nor inflate one.
 CLOCK_READS = Unix\.(gettimeofday|time)|Sys\.time|Monotonic_clock
@@ -32,11 +33,18 @@ bench:
 # daemon's decide plus its seeded live audit at 10/100/1000 live
 # commitments (not gated yet) — is exercised beyond unit tests (the
 # O(n) invariant checker stays off here — it would hide the incremental
-# cost being measured; the test suite runs it instead).  CI runs this
-# on every push.  The machine-readable snapshot lands in BENCH_0.json
-# (schema rota-bench-1); the committed copy is the repo's perf baseline.
+# cost being measured; the test suite runs it instead).  It also runs
+# server/decide-rtt (the daemon's per-request parse/decide/encode path)
+# and the server/telemetry-overhead pair (the same path with the
+# serving metrics plane off vs on).  CI runs this on every push.  The
+# machine-readable snapshot (schema rota-bench-1) goes to a temporary
+# file, so the run leaves the tree untouched; the perf baseline the
+# gate reads is the committed BENCH_1.json.
 bench-smoke:
-	dune exec bench/main.exe -- scheduler/admission-scale server/decide-rtt server/decide-scale server/telemetry-overhead --json BENCH_0.json
+	@tmp=$$(mktemp /tmp/rota-bench-smoke.XXXXXX.json); \
+	trap 'rm -f "$$tmp"' EXIT; \
+	dune exec bench/main.exe -- scheduler/admission-scale server/decide-rtt \
+	  server/decide-scale server/telemetry-overhead --json "$$tmp"
 
 # Perf-regression gate: re-measure the admission-scale group with the
 # committed baseline's quota (1.5 s per row — enough samples for the
@@ -302,8 +310,9 @@ rotabench-smoke: build
 	done; \
 	echo "rotabench-smoke: OK"
 
-# What CI runs.  `dune fmt` is included only when ocamlformat is
-# installed — the pinned toolchain image ships without it.
+# What CI runs, once: each target's comment above says what it checks.
+# `dune fmt` is included only when ocamlformat is installed — the
+# pinned toolchain image ships without it.
 check: build test clock-lint trace-smoke faults-smoke audit-smoke watchdog-smoke telemetry-smoke serve-smoke serve-metrics-smoke rotabench-smoke bench-gate
 	@if command -v ocamlformat >/dev/null 2>&1; then \
 	  dune build @fmt; \

@@ -29,12 +29,7 @@ let file_arg =
   in
   Arg.(value & opt (some file) None & info [ "file"; "f" ] ~docv:"FILE" ~doc)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let load_document path =
   match Document.parse (read_file path) with
@@ -650,6 +645,24 @@ let with_trace_events path k =
       Format.eprintf "rota trace: %s: %a@." path Trace_reader.pp_error e;
       1
 
+(* Write [payload] to stdout when [out] is "-", else to the file [out]
+   through [write] (by default a plain overwrite); a failure is
+   reported as "rota CMD: MESSAGE" with exit 1. *)
+let write_out ~cmd ?(write = fun path payload ->
+    Out_channel.with_open_bin path (fun oc -> output_string oc payload))
+    out payload =
+  match out with
+  | "-" ->
+      print_string payload;
+      flush stdout;
+      0
+  | path -> (
+      match write path payload with
+      | () -> 0
+      | exception Sys_error msg ->
+          Printf.eprintf "rota %s: %s\n" cmd msg;
+          1)
+
 let trace_validate_cmd =
   let run file =
     let v = Trace_reader.validate_file file in
@@ -742,19 +755,7 @@ let trace_export_cmd =
   in
   let run file `Chrome out =
     with_trace_events file @@ fun events ->
-    let payload = Rota_obs.Chrome.to_string events in
-    match out with
-    | "-" -> print_endline payload; 0
-    | path -> (
-        try
-          let oc = open_out path in
-          Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-              output_string oc payload;
-              output_char oc '\n');
-          0
-        with Sys_error msg ->
-          Printf.eprintf "rota trace export: %s\n" msg;
-          1)
+    write_out ~cmd:"trace export" out (Rota_obs.Chrome.to_string events ^ "\n")
   in
   let doc = "Convert a trace for an external viewer (Perfetto)." in
   Cmd.v (Cmd.info "export" ~doc)
@@ -767,26 +768,9 @@ let trace_convert_cmd =
   in
   let run file out =
     with_trace_events file @@ fun events ->
-    let write oc =
-      List.iter
-        (fun e ->
-          output_string oc (Rota_obs.Events.to_line e);
-          output_char oc '\n')
-        events
-    in
-    match out with
-    | "-" ->
-        write stdout;
-        flush stdout;
-        0
-    | path -> (
-        try
-          let oc = open_out_bin path in
-          Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc);
-          0
-        with Sys_error msg ->
-          Printf.eprintf "rota trace convert: %s\n" msg;
-          1)
+    write_out ~cmd:"trace convert" out
+      (String.concat ""
+         (List.map (fun e -> Rota_obs.Events.to_line e ^ "\n") events))
   in
   let doc =
     "Rewrite a trace as JSONL — the escape hatch from \
@@ -817,18 +801,8 @@ let metrics_export_cmd =
   in
   let run file out =
     with_trace_events file @@ fun events ->
-    let payload = Rota_obs.Openmetrics.render_events events in
-    match out with
-    | "-" ->
-        print_string payload;
-        0
-    | path -> (
-        try
-          Rota_obs.Openmetrics.write_file path payload;
-          0
-        with Sys_error msg ->
-          Printf.eprintf "rota metrics export: %s\n" msg;
-          1)
+    write_out ~cmd:"metrics export" ~write:Rota_obs.Openmetrics.write_file out
+      (Rota_obs.Openmetrics.render_events events)
   in
   let doc =
     "Render a finished trace's sampled series in OpenMetrics/Prometheus \
@@ -863,52 +837,17 @@ let metrics_lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ file_pos)
 
-(* An endpoint the user typed: HOST:PORT if the suffix parses as a
-   port, otherwise a Unix socket path.  (A path containing a colon can
-   always be written ./path:with:colon — the heuristic only misfires on
-   bare relative paths that end in :<digits>.) *)
-let parse_endpoint s =
-  match String.rindex_opt s ':' with
-  | Some i -> (
-      let host = String.sub s 0 i
-      and port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some p when p > 0 && p < 65536 ->
-          Rota_server.Daemon.Tcp ((if host = "" then "127.0.0.1" else host), p)
-      | _ -> Rota_server.Daemon.Unix_socket s)
-  | None -> Rota_server.Daemon.Unix_socket s
-
-let connect_endpoint address =
-  match address with
-  | Rota_server.Daemon.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      fd
-  | Rota_server.Daemon.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      let addr =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      Unix.connect fd (Unix.ADDR_INET (addr, port));
-      fd
-
 (* Minimal HTTP/1.0 GET against the daemon's --metrics-listen endpoint:
    send the request, read to EOF, return the body. *)
 let http_scrape address =
-  match connect_endpoint address with
+  match Rota_server.Daemon.connect address with
   | exception Unix.Unix_error (e, _, s) ->
       Error (Printf.sprintf "connect %s: %s" s (Unix.error_message e))
   | fd -> (
       Fun.protect ~finally:(fun () ->
           try Unix.close fd with Unix.Unix_error _ -> ())
       @@ fun () ->
-      let req = "GET /metrics HTTP/1.0\r\nHost: rota\r\n\r\n" in
-      let rec send pos =
-        if pos < String.length req then
-          send (pos + Unix.write_substring fd req pos (String.length req - pos))
-      in
-      send 0;
+      Rota_server.Daemon.send fd "GET /metrics HTTP/1.0\r\nHost: rota\r\n\r\n";
       let buf = Buffer.create 4096 in
       let bytes = Bytes.create 8192 in
       let rec recv () =
@@ -922,27 +861,19 @@ let http_scrape address =
        with Unix.Unix_error (e, _, _) ->
          if Buffer.length buf = 0 then raise (Sys_error (Unix.error_message e)));
       let raw = Buffer.contents buf in
-      let find_substring sep =
+      let body_at sep =
         let n = String.length sep and len = String.length raw in
         let rec go i =
           if i + n > len then None
-          else if String.sub raw i n = sep then Some i
+          else if String.sub raw i n = sep then
+            Some (String.sub raw (i + n) (len - i - n))
           else go (i + 1)
         in
         go 0
       in
-      let body_at sep =
-        Option.map
-          (fun i -> String.sub raw (i + String.length sep)
-              (String.length raw - i - String.length sep))
-          (find_substring sep)
-      in
-      match body_at "\r\n\r\n" with
-      | Some body -> Ok body
-      | None -> (
-          match body_at "\n\n" with
-          | Some body -> Ok body
-          | None -> Error "malformed HTTP response (no header terminator)"))
+      match (body_at "\r\n\r\n", body_at "\n\n") with
+      | Some body, _ | None, Some body -> Ok body
+      | None, None -> Error "malformed HTTP response (no header terminator)")
 
 let metrics_scrape_cmd =
   let addr_pos =
@@ -958,22 +889,13 @@ let metrics_scrape_cmd =
                  stdout.")
   in
   let run addr out =
-    match http_scrape (parse_endpoint addr) with
+    match http_scrape (Rota_server.Daemon.address_of_string addr) with
     | Error m | (exception Sys_error m) ->
         Printf.eprintf "rota metrics scrape: %s\n" m;
         1
-    | Ok body -> (
-        match out with
-        | "-" ->
-            print_string body;
-            0
-        | path -> (
-            try
-              Rota_obs.Openmetrics.write_file path body;
-              0
-            with Sys_error m ->
-              Printf.eprintf "rota metrics scrape: %s\n" m;
-              1))
+    | Ok body ->
+        write_out ~cmd:"metrics scrape" ~write:Rota_obs.Openmetrics.write_file
+          out body
   in
   let doc =
     "Fetch one OpenMetrics exposition from a running daemon's \
@@ -989,6 +911,40 @@ let metrics_cmd =
   in
   Cmd.group (Cmd.info "metrics" ~doc)
     [ metrics_export_cmd; metrics_scrape_cmd; metrics_lint_cmd ]
+
+(* --- following a growing trace ---------------------------------------------- *)
+
+(* The one tail loop behind [rota top] and [rota audit --follow]: poll
+   every [interval] seconds, hand each batch of completed events to
+   [on_events], and end with [finish ()] after [idle_exit] seconds (when
+   positive) without new events, or with 0 once [stop ()] holds. *)
+let tail_trace ~cmd ~interval ~idle_exit ?(ready = ignore)
+    ?(stop = fun () -> false) ~on_events ~finish file =
+  let fail e =
+    Format.eprintf "rota %s: %s: %a@." cmd file Trace_reader.pp_error e;
+    1
+  in
+  match Trace_reader.Cursor.open_file file with
+  | Error e -> fail e
+  | Ok cursor ->
+      Fun.protect ~finally:(fun () -> Trace_reader.Cursor.close cursor)
+      @@ fun () ->
+      ready ();
+      let rec loop idle =
+        if stop () then 0
+        else
+          match Trace_reader.Follow.poll cursor with
+          | Error e -> fail e
+          | Ok [] when idle_exit > 0. && idle >= idle_exit -> finish ()
+          | Ok events ->
+              let idle =
+                if events = [] then idle +. interval
+                else (on_events events; 0.)
+              in
+              Unix.sleepf interval;
+              loop idle
+      in
+      loop 0.
 
 (* --- rota top --------------------------------------------------------------- *)
 
@@ -1044,7 +1000,7 @@ let top_cmd =
     flush stdout
   in
   let run_connected ~addr ~once ~interval ~width =
-    match connect_endpoint (parse_endpoint addr) with
+    match Rota_server.Daemon.(connect (address_of_string addr)) with
     | exception Unix.Unix_error (e, _, s) ->
         Format.eprintf "rota top: connect %s: %s@." s (Unix.error_message e);
         1
@@ -1061,13 +1017,7 @@ let top_cmd =
           ^ "\n"
         in
         let scrape () =
-          let rec send pos =
-            if pos < String.length line then
-              send
-                (pos
-                + Unix.write_substring fd line pos (String.length line - pos))
-          in
-          send 0;
+          Rota_server.Daemon.send fd line;
           match Rota_server.Wire.response_of_line (input_line ic) with
           | Error m -> Error ("bad response: " ^ m)
           | Ok { Rota_server.Wire.reply = Rota_server.Wire.Metrics_snapshot
@@ -1126,41 +1076,17 @@ let top_cmd =
       redraw ~width ~following:false st;
       0
     else
-      match Trace_reader.Follow.open_file file with
-      | Error e ->
-          Format.eprintf "rota top: %s: %a@." file Trace_reader.pp_error e;
-          1
-      | Ok cursor ->
-          Fun.protect ~finally:(fun () -> Trace_reader.Follow.close cursor)
-          @@ fun () ->
-          let st = Rota_obs.Top.create ~source:file () in
-          let interval = Float.max 0.05 interval in
-          let redraw () = redraw ~width ~following:true st in
+      let st = Rota_obs.Top.create ~source:file () in
+      let redraw () = redraw ~width ~following:true st in
+      tail_trace ~cmd:"top" ~interval:(Float.max 0.05 interval) ~idle_exit
+        ~ready:redraw ~stop:quit_requested
+        ~on_events:(fun events ->
+          List.iter (Rota_obs.Top.step st) events;
+          redraw ())
+        ~finish:(fun () ->
           redraw ();
-          let rec loop idle =
-            if quit_requested () then 0
-            else
-              match Trace_reader.Follow.poll cursor with
-              | Error e ->
-                  Format.eprintf "rota top: %s: %a@." file
-                    Trace_reader.pp_error e;
-                  1
-              | Ok [] ->
-                  if idle_exit > 0. && idle >= idle_exit then begin
-                    redraw ();
-                    0
-                  end
-                  else begin
-                    Unix.sleepf interval;
-                    loop (idle +. interval)
-                  end
-              | Ok events ->
-                  List.iter (Rota_obs.Top.step st) events;
-                  redraw ();
-                  Unix.sleepf interval;
-                  loop 0.
-          in
-          loop 0.
+          0)
+        file
   in
   let doc =
     "Live terminal dashboard over a (possibly still growing) trace: \
@@ -1187,61 +1113,35 @@ let top_cmd =
 (* --- rota audit / rota explain --------------------------------------------- *)
 
 (* Tail a growing trace with the same incremental core the offline
-   audit drives: poll for completed lines, step the auditor, print each
-   verdict's complaints as they land.  A partial last line is buffered
-   by the cursor, never parsed, so racing the writer is safe. *)
+   audit drives: step the auditor over each batch of completed events
+   and print each verdict's complaints as they land. *)
 let follow_audit ~idle_exit file =
-  match Trace_reader.Follow.open_file file with
-  | Error e ->
-      Format.eprintf "rota audit: %s: %a@." file Trace_reader.pp_error e;
-      1
-  | Ok cursor ->
-      Fun.protect ~finally:(fun () -> Trace_reader.Follow.close cursor)
-      @@ fun () ->
-      let module Live = Rota_audit.Audit.Live in
-      let live = Live.create () in
-      let divergences = ref 0 in
-      let on_outcome (o : Live.outcome) =
-        match o.Live.verdict with
-        | Live.Verified | Live.Skipped _ -> ()
-        | Live.Diverged msgs ->
-            divergences := !divergences + List.length msgs;
-            List.iter
-              (fun m ->
-                Format.printf "seq %d (run %d, %s %s): DIVERGENCE: %s@."
-                  o.Live.seq o.Live.run o.Live.action o.Live.id m)
-              msgs
-      in
-      let finish () =
-        Format.printf
-          "%d events across %d runs: %d decisions, %d verified, %d skipped, \
-           %d divergent@."
-          (Live.events live) (Live.runs live) (Live.decisions live)
-          (Live.verified live) (Live.skipped live) !divergences;
-        if !divergences > 0 then 1 else 0
-      in
-      let tick = 0.2 in
-      let rec loop idle =
-        match Trace_reader.Follow.poll cursor with
-        | Error e ->
-            Format.eprintf "rota audit: %s: %a@." file Trace_reader.pp_error e;
-            1
-        | Ok [] ->
-            if idle_exit > 0. && idle >= idle_exit then finish ()
-            else begin
-              Unix.sleepf tick;
-              loop (idle +. tick)
-            end
-        | Ok events ->
-            List.iter
-              (fun e ->
-                match Live.step live e with
-                | Some o -> on_outcome o
-                | None -> ())
-              events;
-            loop 0.
-      in
-      loop 0.
+  let module Live = Rota_audit.Audit.Live in
+  let live = Live.create () in
+  let divergences = ref 0 in
+  let on_outcome (o : Live.outcome) =
+    match o.Live.verdict with
+    | Live.Verified | Live.Skipped _ -> ()
+    | Live.Diverged msgs ->
+        divergences := !divergences + List.length msgs;
+        List.iter
+          (fun m ->
+            Format.printf "seq %d (run %d, %s %s): DIVERGENCE: %s@."
+              o.Live.seq o.Live.run o.Live.action o.Live.id m)
+          msgs
+  in
+  let finish () =
+    Format.printf
+      "%d events across %d runs: %d decisions, %d verified, %d skipped, %d \
+       divergent@."
+      (Live.events live) (Live.runs live) (Live.decisions live)
+      (Live.verified live) (Live.skipped live) !divergences;
+    if !divergences > 0 then 1 else 0
+  in
+  tail_trace ~cmd:"audit" ~interval:0.2 ~idle_exit
+    ~on_events:
+      (List.iter (fun e -> Option.iter on_outcome (Live.step live e)))
+    ~finish file
 
 let audit_cmd =
   let max_div_arg =
@@ -1331,16 +1231,9 @@ let address_args =
     match (socket, tcp) with
     | Some _, Some _ -> Error "--socket and --tcp are mutually exclusive"
     | Some path, None -> Ok (Rota_server.Daemon.Unix_socket path)
-    | None, Some addr -> (
-        match String.rindex_opt addr ':' with
-        | None -> Error (Printf.sprintf "bad --tcp %S (expected HOST:PORT)" addr)
-        | Some i -> (
-            let host = String.sub addr 0 i
-            and port = String.sub addr (i + 1) (String.length addr - i - 1) in
-            match int_of_string_opt port with
-            | Some p when p > 0 && p < 65536 ->
-                Ok (Rota_server.Daemon.Tcp (host, p))
-            | _ -> Error (Printf.sprintf "bad --tcp port %S" port)))
+    | None, Some addr ->
+        Result.map_error (( ^ ) "bad --tcp ")
+          (Rota_server.Daemon.tcp_of_string addr)
     | None, None -> Error "one of --socket or --tcp is required"
   in
   Term.(const combine $ socket_arg $ tcp_arg)
@@ -1431,7 +1324,9 @@ let serve_cmd =
         prerr_endline ("rota serve: " ^ m);
         2
     | Ok address -> (
-        let metrics_listen = Option.map parse_endpoint metrics_listen in
+        let metrics_listen =
+          Option.map Rota_server.Daemon.address_of_string metrics_listen
+        in
         let cfg =
           Rota_server.Daemon.config ~max_queue ~default_budget_ms:budget_ms
             ~snapshot_every ~decide_delay_ms:decide_delay_ms

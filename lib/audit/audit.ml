@@ -22,10 +22,10 @@ let ok r = r.divergences = [] && r.suppressed = 0
    over the trace in file order.  [audit_file] and [explain_file] are
    folds over the decision outcomes — the live watchdog runs the exact
    same [Live.step], so offline and in-engine verdicts cannot drift. *)
-let fold_decisions ?strict path ~init ~f =
+let fold_decisions path ~init ~f =
   let live = Live.create () in
   match
-    Trace_reader.fold_file ?strict path ~init ~f:(fun acc e ->
+    Trace_reader.fold_file path ~init ~f:(fun acc e ->
         match Live.step live e with Some o -> f acc o | None -> acc)
   with
   | Error e -> Error e

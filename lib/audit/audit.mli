@@ -55,7 +55,6 @@ val ok : report -> bool
 val pp_report : Format.formatter -> report -> unit
 
 val fold_decisions :
-  ?strict:bool ->
   string ->
   init:'a ->
   f:('a -> Live.outcome -> 'a) ->

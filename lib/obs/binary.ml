@@ -464,15 +464,3 @@ let read_item ic =
           | e -> Event e
           | exception Corrupt msg -> Malformed msg
         end
-
-(* --- detection ----------------------------------------------------------- *)
-
-let file_is_binary path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-      let buf = Bytes.create 4 in
-      (match really_input ic buf 0 4 with
-      | exception End_of_file -> false
-      | () -> Bytes.to_string buf = magic)

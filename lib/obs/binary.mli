@@ -9,7 +9,7 @@
     exact round-trip contract.  Full record layout:
     doc/observability.md.
 
-    {!Trace_reader} auto-detects the format by the magic, so every
+    {!Trace_reader.Cursor} detects the format by the magic, so every
     reading tool accepts both; [rota trace convert] rewrites a binary
     trace as JSONL. *)
 
@@ -57,11 +57,7 @@ val read_header : in_channel -> (unit, string) result
 
 val read_item : in_channel -> item
 (** Read the next record.  After anything but [Event] the channel
-    position is unspecified and reading should stop. *)
-
-(** {1 Detection} *)
-
-val file_is_binary : string -> bool
-(** Whether the file starts with {!magic}.  Unreadable and too-short
-    files are [false] (they are handled by the JSONL path's error
-    reporting). *)
+    position is unspecified.  These two are the primitives under
+    {!Trace_reader.Cursor}, which adds the crash-cut rule (a [Cut]
+    record is re-read once complete) and format detection; read traces
+    through it. *)

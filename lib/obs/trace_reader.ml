@@ -11,268 +11,192 @@ let pp_tail ppf = function
   | Truncated { line; bytes } ->
       Format.fprintf ppf "truncated final line %d (%d bytes)" line bytes
 
-(* --- raw line scanning --------------------------------------------------- *)
+(* --- the cursor ------------------------------------------------------------ *)
 
-(* Split [len] fresh bytes of [buf] into lines, feeding each complete
-   (newline-terminated) line — with [pending] as its accumulated prefix
-   from earlier chunks — to [f]; the unterminated remainder stays in
-   [pending] for the next chunk (or the caller's truncation verdict). *)
-let feed ~pending ~buf ~len ~f acc line =
-  let rec go acc line start =
-    if start >= len then Ok (acc, line)
-    else
-      match Bytes.index_from_opt buf start '\n' with
-      | Some i when i < len ->
-          Buffer.add_subbytes pending buf start (i - start);
-          let l = Buffer.contents pending in
-          Buffer.clear pending;
-          (match f acc line l with
-          | Ok acc -> go acc (line + 1) (i + 1)
-          | Error _ as e -> e)
-      | _ ->
-          Buffer.add_subbytes pending buf start (len - start);
-          Ok (acc, line)
-  in
-  go acc line 0
+type format = Jsonl | Rotb
 
-(* Fold [f] over every newline-terminated line; returns the final
-   unterminated line, if any, with its 1-based line number.  [input_line]
-   cannot tell a terminated final line from a crash-cut one, so the file
-   is scanned in binary chunks instead. *)
-let fold_raw path ~init ~f =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error { line = 0; message = msg }
-  | ic ->
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-      let buf = Bytes.create 65536 in
-      let pending = Buffer.create 256 in
-      let rec loop acc line =
-        match input ic buf 0 (Bytes.length buf) with
-        | 0 ->
-            let rest = Buffer.contents pending in
-            Ok (acc, if rest = "" then None else Some (line, rest))
-        | len -> (
-            match feed ~pending ~buf ~len ~f acc line with
-            | Ok (acc, line) -> loop acc line
-            | Error _ as e -> e)
-      in
-      loop init 1
+type item = Event of Events.t | End | Cut of int | Malformed of string
 
-let parse_line ?strict ~f acc n line =
-  (* Tolerate blank lines (text editors add trailing ones). *)
-  if String.trim line = "" then Ok acc
-  else
-    match Events.of_line ?strict line with
-    | Ok e -> Ok (f acc e)
-    | Error message -> Error { line = n; message }
+let blank =
+  String.for_all (function
+    | ' ' | '\t' | '\n' | '\r' | '\012' -> true
+    | _ -> false)
 
-(* --- binary traces -------------------------------------------------------- *)
-
-(* The binary reader mirrors {!fold_file}'s contract with records in
-   place of lines: "line" numbers are 1-based record ordinals, a
-   crash-cut final record becomes the {!Truncated} tail (everything
-   before it still delivered), and a {e complete} record that fails to
-   decode is an error.  [strict] keeps its JSONL meaning — reject
-   unknown event kinds — which in the binary format arrive pre-parsed
-   as {!Events.Unknown} records rather than unrecognized kind strings. *)
-let fold_binary ?(strict = false) path ~init ~f =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error { line = 0; message = msg }
-  | ic -> (
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-      match Binary.read_header ic with
-      | Error message -> Error { line = 0; message }
-      | Ok () ->
-          let rec loop acc n =
-            match Binary.read_item ic with
-            | Binary.Eof -> Ok (acc, Complete)
-            | Binary.Cut bytes -> Ok (acc, Truncated { line = n; bytes })
-            | Binary.Malformed message -> Error { line = n; message }
-            | Binary.Event e -> (
-                match e.Events.payload with
-                | Events.Unknown { kind; _ } when strict ->
-                    Error
-                      {
-                        line = n;
-                        message = Printf.sprintf "unknown event kind %S" kind;
-                      }
-                | _ -> loop (f acc e) (n + 1))
-          in
-          loop init 1)
-
-let fold_file ?strict path ~init ~f =
-  if Binary.file_is_binary path then fold_binary ?strict path ~init ~f
-  else
-  match fold_raw path ~init ~f:(parse_line ?strict ~f) with
-  | Error _ as e -> e
-  | Ok (acc, None) -> Ok (acc, Complete)
-  | Ok (acc, Some (n, rest)) -> (
-      (* The final line lacks its newline: a crash-interrupted write.
-         If the fragment happens to parse it lost nothing; otherwise
-         report the cut as data, not as a malformed trace — everything
-         up to it is still good.  A *terminated* malformed line, final
-         or not, stays an error (the writer finished it that way). *)
-      if String.trim rest = "" then Ok (acc, Complete)
-      else
-        match Events.of_line ?strict rest with
-        | Ok e -> Ok (f acc e, Complete)
-        | Error _ ->
-            Ok (acc, Truncated { line = n; bytes = String.length rest }))
-
-let read_file ?strict path =
-  Result.map
-    (fun (acc, tail) -> (List.rev acc, tail))
-    (fold_file ?strict path ~init:[] ~f:(fun acc e -> e :: acc))
-
-(* --- following a growing file ------------------------------------------- *)
-
-module Follow = struct
-  (* Which codec the growing file speaks.  [Undetected] covers a file
-     still shorter than the binary header: the bytes on disk so far are
-     a prefix of {!Binary.header} (or nothing at all), so the format is
-     decided on a later poll, once enough bytes land to tell a ROTB
-     header from a JSONL line. *)
-  type format_mode = Undetected | Jsonl | Binary_records
-
-  type cursor = {
+module Cursor = struct
+  type t = {
     ic : in_channel;
-    buf : Bytes.t;
-    pending : Buffer.t;  (* JSONL: unterminated tail seen so far *)
-    mutable line : int;  (* 1-based line / record ordinal being assembled *)
-    strict : bool option;
-    mutable mode : format_mode;
-    mutable dangling : int;  (* binary: bytes of the cut record at EOF *)
+    mutable format : format option;
+        (* [None] while the bytes on disk are a prefix of the ROTB
+           header (or nothing at all): too few to tell the codecs apart *)
+    mutable complete : int;  (* complete lines / records consumed *)
+    mutable ordinal : int;
+    mutable offset : int;
+    mutable dangling : int;  (* bytes of the incomplete record at the end *)
+    mutable fragment : string;  (* those bytes, unless ROTB *)
   }
 
-  (* Decide the format from the bytes on disk so far.  JSONL events
-     always start with '{', so any first bytes that are not a prefix of
-     the binary header settle the question immediately; a genuine ROTB
-     header is consumed (the record loop starts right after it).  The
-     position is left at 0 in every other case. *)
+  let header_len = String.length Binary.header
+
+  (* Decide the codec from the first bytes on disk.  JSONL events start
+     with '{', so any bytes that are not a prefix of the ROTB header
+     settle it; a full ROTB header is checked and consumed, so records
+     start right after it.  A shorter prefix of the header leaves the
+     question open — its bytes are the fragment of a cut first record —
+     until a later [next] sees more of the file. *)
   let detect c =
     let len = in_channel_length c.ic in
-    if len = 0 then Ok ()
-    else begin
-      let header_len = String.length Binary.header in
-      let n = min len header_len in
-      seek_in c.ic 0;
-      let first = really_input_string c.ic n in
-      if len >= header_len then
-        if String.sub first 0 (String.length Binary.magic) = Binary.magic
-        then begin
-          seek_in c.ic 0;
-          match Binary.read_header c.ic with
-          | Ok () ->
-              c.mode <- Binary_records;
-              Ok ()
-          | Error message -> Error { line = 0; message }
-        end
-        else begin
-          seek_in c.ic 0;
-          c.mode <- Jsonl;
-          Ok ()
-        end
-      else if String.equal first (String.sub Binary.header 0 n) then begin
-        seek_in c.ic 0;
-        Ok () (* still ambiguous: wait for the rest of the header *)
-      end
-      else begin
-        seek_in c.ic 0;
-        c.mode <- Jsonl;
-        Ok ()
-      end
-    end
+    seek_in c.ic 0;
+    let head = really_input_string c.ic (min len header_len) in
+    seek_in c.ic 0;
+    if String.length head < header_len
+       && String.starts_with ~prefix:head Binary.header
+    then Ok (c.fragment <- head)
+    else if String.starts_with ~prefix:Binary.magic head then
+      Result.map
+        (fun () ->
+          c.format <- Some Rotb;
+          c.offset <- header_len)
+        (Binary.read_header c.ic)
+    else Ok (c.format <- Some Jsonl)
 
-  let open_file ?strict path =
+  (* The end of the bytes on disk, [n] of them an incomplete record. *)
+  let stop c n =
+    c.ordinal <- c.complete + 1;
+    c.dangling <- n;
+    if n = 0 then End else Cut n
+
+  let consumed c =
+    c.complete <- c.complete + 1;
+    c.ordinal <- c.complete;
+    c.offset <- pos_in c.ic
+
+  let open_file path =
     match open_in_bin path with
     | exception Sys_error msg -> Error { line = 0; message = msg }
     | ic -> (
         let c =
           {
             ic;
-            buf = Bytes.create 65536;
-            pending = Buffer.create 256;
-            line = 1;
-            strict;
-            mode = Undetected;
+            format = None;
+            complete = 0;
+            ordinal = 1;
+            offset = 0;
             dangling = 0;
+            fragment = "";
           }
         in
         match detect c with
-        | Ok () -> Ok c
-        | Error e ->
+        | Ok () ->
+            c.dangling <- String.length c.fragment;
+            Ok c
+        | Error message | (exception Sys_error message) ->
             close_in_noerr ic;
-            Error e)
+            Error { line = 0; message })
 
   let close c = close_in_noerr c.ic
+  let format c = c.format
+  let ordinal c = c.ordinal
+  let offset c = c.offset
 
-  (* Reading a regular file at EOF returns 0 bytes but leaves the
-     position; once the writer appends more, the next [poll] picks up
-     exactly where this one stopped.  A line cut mid-write stays in
-     [pending] — it is never parsed until its newline arrives, so a
-     poll racing the writer cannot misread a fragment as an event. *)
-  let poll_jsonl c =
-    let f acc n line =
-      parse_line ?strict:c.strict ~f:(fun acc e -> e :: acc) acc n line
-    in
-    let rec loop acc =
-      match input c.ic c.buf 0 (Bytes.length c.buf) with
-      | 0 -> Ok (List.rev acc)
-      | len -> (
-          match feed ~pending:c.pending ~buf:c.buf ~len ~f acc c.line with
-          | Ok (acc, line) ->
-              c.line <- line;
-              loop acc
-          | Error _ as e -> e)
-    in
-    loop []
-
-  (* The binary analogue of the pending-line buffer is a seek: a record
-     cut mid-write ({!Binary.Cut}) rewinds the channel to the record's
-     first byte, so the next poll re-reads it whole once the writer
-     finishes it.  Only complete records are ever delivered — the
-     length prefix makes "complete" unambiguous, so racing the writer
-     cannot misread a fragment. *)
-  let poll_binary c =
-    let rec loop acc =
-      let start = pos_in c.ic in
-      match Binary.read_item c.ic with
-      | Binary.Eof ->
-          c.dangling <- 0;
-          Ok (List.rev acc)
-      | Binary.Cut bytes ->
-          seek_in c.ic start;
-          c.dangling <- bytes;
-          Ok (List.rev acc)
-      | Binary.Malformed message -> Error { line = c.line; message }
-      | Binary.Event e -> (
-          match e.Events.payload with
-          | Events.Unknown { kind; _ } when c.strict = Some true ->
-              Error
-                {
-                  line = c.line;
-                  message = Printf.sprintf "unknown event kind %S" kind;
-                }
-          | _ ->
-              c.line <- c.line + 1;
-              loop (e :: acc))
-    in
-    loop []
-
-  let rec poll c =
-    match c.mode with
-    | Jsonl -> poll_jsonl c
-    | Binary_records -> poll_binary c
-    | Undetected -> (
+  (* One crash-cut rule for both codecs: a record is complete once its
+     newline, or the last byte its length prefix promises, is on disk.
+     An incomplete one rewinds the channel to its first byte, so the
+     next call re-reads it whole once the writer finishes it — reading a
+     regular file at EOF returns nothing but keeps the position.  A
+     fragment is never decoded, so racing the writer cannot misread
+     one. *)
+  let rec next c =
+    let start = pos_in c.ic in
+    match c.format with
+    | None -> (
         match detect c with
-        | Error _ as e -> e
-        | Ok () -> if c.mode = Undetected then Ok [] else poll c)
+        | Error m ->
+            c.ordinal <- 0;
+            Malformed m
+        | Ok () when c.format = None -> stop c (String.length c.fragment)
+        | Ok () -> next c)
+    | Some Rotb -> (
+        match Binary.read_item c.ic with
+        | Binary.Event e ->
+            consumed c;
+            Event e
+        | Binary.Malformed m ->
+            consumed c;
+            Malformed m
+        | Binary.Eof -> stop c 0
+        | Binary.Cut n ->
+            seek_in c.ic start;
+            stop c n)
+    | Some Jsonl -> (
+        match input_line c.ic with
+        | exception End_of_file -> stop c 0
+        | line when pos_in c.ic = start + String.length line ->
+            (* No newline: [input_line] stopped at the end of the file. *)
+            seek_in c.ic start;
+            c.fragment <- line;
+            stop c (String.length line)
+        | line -> (
+            consumed c;
+            (* Blank lines are tolerated (text editors add trailing ones). *)
+            if blank line then next c
+            else
+              match Events.of_line line with
+              | Ok e -> Event e
+              | Error m -> Malformed m))
 
-  let pending_bytes c =
-    match c.mode with
-    | Jsonl -> Buffer.length c.pending
-    | Binary_records -> c.dangling
-    | Undetected -> in_channel_length c.ic
+  (* The fragment rule, for a reader that takes the bytes on disk as
+     final: a blank fragment ends the file, and a JSONL fragment that
+     parses lost only its newline.  Any other fragment stays a cut. *)
+  let finish ?strict c =
+    if c.dangling = 0 || (c.format <> Some Rotb && blank c.fragment) then End
+    else if c.format = Some Rotb then Cut c.dangling
+    else
+      match Events.of_line ?strict c.fragment with
+      | Ok e -> Event e
+      | Error _ -> Cut c.dangling
+end
+
+let with_cursor path k =
+  match Cursor.open_file path with
+  | Error _ as e -> e
+  | Ok c -> Fun.protect ~finally:(fun () -> Cursor.close c) (fun () -> k c)
+
+let fold_file path ~init ~f =
+  with_cursor path @@ fun c ->
+  let rec loop acc =
+    match Cursor.next c with
+    | Event e -> loop (f acc e)
+    | End -> Ok (acc, Complete)
+    | Malformed message -> Error { line = Cursor.ordinal c; message }
+    | Cut bytes -> (
+        (* The file ends inside a record: a crash-interrupted write, not
+           a malformed trace — everything up to it is still good. *)
+        match Cursor.finish c with
+        | Event e -> Ok (f acc e, Complete)
+        | End -> Ok (acc, Complete)
+        | Cut _ | Malformed _ ->
+            Ok (acc, Truncated { line = Cursor.ordinal c; bytes }))
+  in
+  loop init
+
+let read_file path =
+  Result.map
+    (fun (acc, tail) -> (List.rev acc, tail))
+    (fold_file path ~init:[] ~f:(fun acc e -> e :: acc))
+
+(* --- following a growing file ------------------------------------------- *)
+
+module Follow = struct
+  let poll c =
+    let rec loop acc =
+      match Cursor.next c with
+      | Event e -> loop (e :: acc)
+      | End | Cut _ -> Ok (List.rev acc)
+      | Malformed message -> Error { line = Cursor.ordinal c; message }
+    in
+    loop []
+
+  let pending_bytes c = c.Cursor.dangling
 end
 
 (* --- validation --------------------------------------------------------- *)
@@ -316,15 +240,7 @@ let validate_file ?(max_errors = 20) path =
             :: st.messages)
       fmt
   in
-  let is_binary = Binary.file_is_binary path in
-  (* Round-trip through whichever codec the file uses: re-serializing
-     and re-parsing must reproduce the event exactly (the codec's
-     contract). *)
-  let roundtrip =
-    if is_binary then Binary.roundtrip
-    else fun e -> Events.of_line ~strict:true (Events.to_line e)
-  in
-  let check_event n (e : Events.t) =
+  let check_event ~roundtrip n (e : Events.t) =
     st.n_events <- st.n_events + 1;
     (match roundtrip e with
     | Ok e' when e' = e -> ()
@@ -359,54 +275,54 @@ let validate_file ?(max_errors = 20) path =
             | Some _ | None -> ());
             Hashtbl.replace st.last_sim e.Events.run t)
   in
-  let check acc n line =
-    (if String.trim line <> "" then
-       match Events.of_line ~strict:true line with
-       | Ok e -> check_event n e
-       | Error msg -> report n "%s" msg);
-    Ok acc
-  in
-  (if is_binary then (
-     (* Unknown kinds surface as pre-parsed {!Events.Unknown} records
-        (the tag survives re-encoding, so they round-trip); they are
-        flagged like an unknown kind string in strict JSONL parsing.
-        A malformed complete record is corruption — record framing past
-        it cannot be trusted, so scanning stops there. *)
-     match open_in_bin path with
-     | exception Sys_error msg -> report 0 "%s" msg
-     | ic ->
-         Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-         (match Binary.read_header ic with
-         | Error msg -> report 0 "%s" msg
-         | Ok () ->
-             let rec loop n =
-               match Binary.read_item ic with
-               | Binary.Eof -> ()
-               | Binary.Cut bytes ->
-                   report n "truncated final record (%d bytes)" bytes
-               | Binary.Malformed msg -> report n "%s" msg
-               | Binary.Event e ->
-                   (match e.Events.payload with
-                   | Events.Unknown { kind; _ } when not (Events.legacy_kind kind) ->
-                       report n "unknown event kind %S" kind
-                   | _ -> ());
-                   check_event n e;
-                   loop (n + 1)
-             in
-             loop 1))
-   else
-     match fold_raw path ~init:() ~f:check with
-     | Ok ((), None) -> ()
-     | Ok ((), Some (n, rest)) ->
-         (* Validation is a contract check: a crash-cut final line keeps
-            the prefix valid but is still flagged, mirroring
-            {!fold_file}'s parseable-fragment tolerance. *)
-         if String.trim rest <> "" then (
-           match Events.of_line ~strict:true rest with
-           | Ok e -> check_event n e
-           | Error _ ->
-               report n "truncated final line (%d bytes)" (String.length rest))
-     | Error e -> report e.line "%s" e.message);
+  (match
+     with_cursor path @@ fun c ->
+     let binary = Cursor.format c = Some Rotb in
+     (* Round-trip through whichever codec the file uses: re-serializing
+        and re-parsing must reproduce the event exactly (the codec's
+        contract). *)
+     let roundtrip =
+       if binary then Binary.roundtrip
+       else fun e -> Events.of_line ~strict:true (Events.to_line e)
+     in
+     let check_event = check_event ~roundtrip in
+     let rec loop () =
+       let item = Cursor.next c in
+       let n = Cursor.ordinal c in
+       match item with
+       | End -> ()
+       | Event e ->
+           (match e.Events.payload with
+           | Events.Unknown { kind; _ } when not (Events.legacy_kind kind) ->
+               (* Strict parsing rejects an unknown kind.  A JSONL line
+                  carrying one is therefore not an event; a binary record
+                  arrives pre-parsed, so it is still checked (its tag
+                  survives re-encoding, so it round-trips). *)
+               report n "unknown event kind %S" kind;
+               if binary then check_event n e
+           | _ -> check_event n e);
+           loop ()
+       | Malformed msg ->
+           report n "%s" msg;
+           (* The next JSONL line is still framed; record framing past a
+              malformed binary record cannot be trusted. *)
+           if not binary then loop ()
+       | Cut bytes -> (
+           (* A crash-cut final record keeps the prefix valid but is
+              still flagged, unless it is a strictly parseable JSONL
+              fragment, which {!fold_file} keeps too. *)
+           match Cursor.finish ~strict:true c with
+           | Event e -> check_event n e
+           | End -> ()
+           | Cut _ | Malformed _ ->
+               report n "truncated final %s (%d bytes)"
+                 (if binary then "record" else "line")
+                 bytes)
+     in
+     Ok (loop ())
+   with
+  | Ok () -> ()
+  | Error e -> report e.line "%s" e.message);
   (* Parent spans are emitted after their children, so resolution runs
      once the whole file has been seen. *)
   List.iter

@@ -1,84 +1,97 @@
 (** Streaming trace reader and validator — the consume side of the
     telemetry layer.
 
-    Traces are read a line at a time, so a multi-gigabyte trace never
-    has to fit in memory ({!fold_file}); {!read_file} is the convenience
-    wrapper for workloads that do fit.  Blank lines are tolerated, and a
-    crash-interrupted trace (final line cut mid-write, no trailing
-    newline) yields everything up to the cut plus a structured
-    {!Truncated} note rather than a parse error.  {!Follow} tails a
-    trace that is still being written.
-
-    Both wire formats are accepted transparently: a file starting with
-    the {!Binary.magic} bytes is read through the binary codec, with
-    1-based {e record} ordinals standing in for line numbers and a
-    crash-cut final record reported as the {!Truncated} tail, exactly
-    like a JSONL line missing its newline.  {!Follow} tails both
-    formats too: a binary cursor delivers each record as its last byte
-    lands, buffering (by seek) a record cut mid-write. *)
+    Every recorded stream — trace files, [rota top], [rota audit
+    --follow], the serve daemon's WAL — is read through one {!Cursor},
+    one record at a time, in either wire format: newline-terminated
+    JSONL or length-prefixed ROTB (files starting with {!Binary.magic}).
+    One crash-cut rule holds for both: a record is complete once its
+    newline, or the last byte its length prefix promises, is on disk.
+    An incomplete final record is reported, never consumed, so a reader
+    racing the writer resumes it once the rest lands.  Line numbers are
+    1-based line ordinals for JSONL and record ordinals for ROTB. *)
 
 type error = { line : int; message : string }
-(** [line] is 1-based; 0 means the file itself could not be opened. *)
+(** [line] is 1-based; 0 means the file could not be opened or its ROTB
+    header is bad. *)
 
 val pp_error : Format.formatter -> error -> unit
 
-(** How the file ended.  [Truncated] means the final line lacked its
-    newline and did not parse — a write cut short by a crash; [bytes]
-    is the length of the dangling fragment.  Every complete line before
-    it was still delivered.  A {e terminated} malformed line (final or
-    not) is an {!error}, not a truncation: its writer finished it that
-    way. *)
+(** How the file ended.  [Truncated] means the final record was cut
+    short by a crash (a JSONL line that also fails to parse without its
+    newline); [bytes] is the length of the dangling fragment, and every
+    complete record before it was delivered.  A {e complete} malformed
+    record is an {!error}: its writer finished it that way. *)
 type tail = Complete | Truncated of { line : int; bytes : int }
 
 val pp_tail : Format.formatter -> tail -> unit
 
-val fold_file :
-  ?strict:bool ->
-  string ->
-  init:'a ->
-  f:('a -> Events.t -> 'a) ->
-  ('a * tail, error) result
-(** Fold [f] over every event in the file, in file order, stopping at
-    the first malformed line.  [strict] is {!Events.of_line}'s flag
-    (default lenient: unknown kinds become {!Events.Unknown}).  An
-    unterminated final line is parsed if possible (losing nothing) and
-    otherwise reported as the [tail]. *)
+(** {1 The cursor} *)
 
-val read_file :
-  ?strict:bool -> string -> (Events.t list * tail, error) result
+type format = Jsonl | Rotb
+
+type item =
+  | Event of Events.t  (** A complete record, decoded leniently. *)
+  | End  (** The bytes on disk end on a record boundary. *)
+  | Cut of int
+      (** The bytes on disk end this many bytes into an incomplete
+          record (for a file shorter than the ROTB header whose bytes
+          are a prefix of it, the whole file). *)
+  | Malformed of string
+      (** A complete record that does not decode.  The next JSONL line
+          is still framed; nothing past a malformed ROTB record is. *)
+
+module Cursor : sig
+  type t
+
+  val open_file : string -> (t, error) result
+  (** Open at the first record.  The format is detected here from the
+      first bytes (the ROTB header is checked too), unless they are
+      still a prefix of the ROTB header: then on a later {!next}. *)
+
+  val next : t -> item
+  (** After {!End} or {!Cut} nothing was consumed: once more bytes are
+      appended, [next] resumes there.  Blank JSONL lines are skipped. *)
+
+  val format : t -> format option
+  (** [None] while undetected. *)
+
+  val finish : ?strict:bool -> t -> item
+  (** After {!next} returned [Cut], read the fragment as the file's
+      last record: {!End} when it is blank, the [Event] when it is a
+      JSONL line missing only its newline (parsed strictly with
+      [~strict:true]), else the same [Cut]. *)
+
+  val ordinal : t -> int
+  (** The ordinal of the record the last {!next} returned, or (after
+      {!End} or {!Cut}) of the one it waits for; 0 after a bad ROTB
+      header. *)
+
+  val offset : t -> int
+  (** Byte offset just past the last complete record. *)
+
+  val close : t -> unit
+end
+
+val fold_file :
+  string -> init:'a -> f:('a -> Events.t -> 'a) -> ('a * tail, error) result
+(** Fold [f] over every event in file order, stopping at the first
+    malformed record.  A final JSONL line missing only its newline is
+    kept; any other cut is the [tail]. *)
+
+val read_file : string -> (Events.t list * tail, error) result
 (** All events, in file order. *)
 
-(** {1 Following a growing trace}
-
-    The primitive behind [rota audit --follow]: an incremental cursor
-    over a file another process is appending to. *)
+(** {1 Following a growing trace} *)
 
 module Follow : sig
-  type cursor
+  val poll : Cursor.t -> (Events.t list, error) result
+  (** Every event completed since the last poll, in file order; [[]]
+      when nothing new arrived.  After an error, abandon the cursor. *)
 
-  val open_file : ?strict:bool -> string -> (cursor, error) result
-  (** Open [path] for tailing, positioned at the start.  [strict] as in
-      {!fold_file}.  Both wire formats are accepted: the ROTB magic
-      selects the binary record reader, anything else is tailed as
-      JSONL.  A file still shorter than the binary header (a writer
-      caught mid-open, or an empty file about to grow) stays
-      format-undetected until enough bytes land to tell. *)
-
-  val poll : cursor -> (Events.t list, error) result
-  (** Every event whose line (JSONL) or length-prefixed record (binary)
-      has been {e completed} since the last poll, in file order; [[]]
-      when nothing new arrived.  A partial final line or record is
-      buffered, never parsed — it resumes when its remaining bytes
-      land, so polling mid-write cannot misread a fragment.  A
-      malformed complete line or record is an error and the cursor
-      should be abandoned. *)
-
-  val pending_bytes : cursor -> int
-  (** Bytes of the unterminated final line (JSONL) or cut final record
-      (binary) currently buffered — nonzero while the writer is
-      mid-write (or crashed there). *)
-
-  val close : cursor -> unit
+  val pending_bytes : Cursor.t -> int
+  (** Bytes of the incomplete final record at the last poll: nonzero
+      while the writer is mid-write (or crashed there). *)
 end
 
 (** {1 Validation}
@@ -91,9 +104,9 @@ end
     within each run the non-span simulated times are nondecreasing;
     nonzero span ids are unique and every span's [parent] id resolves
     to a span in the file; no span has a negative [duration_s], and
-    every span's interval lies within its parent's, to 1 µs.  A truncated final line is reported as a
-    violation (the trace is crash-cut, even though {!fold_file} can
-    still use it). *)
+    every span's interval lies within its parent's, to 1 µs.  A
+    truncated final line or record is reported as a violation (the
+    trace is crash-cut, even though {!fold_file} can still use it). *)
 
 type validation = {
   events : int;  (** Events successfully parsed. *)

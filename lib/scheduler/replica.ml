@@ -208,7 +208,12 @@ let slice_of_terms ~what terms =
   else Result.map Certificate.set_of_rects (Certificate.rects_of_json terms)
 
 let replay t (e : Events.t) =
-  (match e.Events.sim with Some s -> advance t s | None -> ());
+  (* Span records never move the clock: they are emitted at span exit,
+     out of simulated-time order, and the auditor's frontier skips them
+     too. *)
+  (match (e.Events.payload, e.Events.sim) with
+  | Events.Span _, _ | _, None -> ()
+  | _, Some s -> advance t s);
   match e.Events.payload with
   | Events.Run_started { label } ->
       (match

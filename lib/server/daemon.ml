@@ -2,6 +2,47 @@ open Import
 
 type address = Unix_socket of string | Tcp of string * int
 
+let tcp_of_string s =
+  match String.rindex_opt s ':' with
+  | None -> Error (Printf.sprintf "%S (expected HOST:PORT)" s)
+  | Some i -> (
+      let host = String.sub s 0 i
+      and port = String.sub s (i + 1) (String.length s - i - 1) in
+      match int_of_string_opt port with
+      | Some p when p > 0 && p < 65536 ->
+          Ok (Tcp ((if host = "" then "127.0.0.1" else host), p))
+      | _ -> Error (Printf.sprintf "port %S" port))
+
+let address_of_string s =
+  match tcp_of_string s with Ok a -> a | Error _ -> Unix_socket s
+
+(* A numeric host needs no lookup; an unknown name fails like any other
+   socket error, so callers report it as they report a refused
+   connection. *)
+let inet_addr host =
+  match Unix.inet_addr_of_string host with
+  | addr -> addr
+  | exception Failure _ -> (
+      match Unix.gethostbyname host with
+      | h -> h.Unix.h_addr_list.(0)
+      | exception Not_found ->
+          raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host)))
+
+let sockaddr = function
+  | Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+  | Tcp (host, port) -> (Unix.PF_INET, Unix.ADDR_INET (inet_addr host, port))
+
+let connect address =
+  let domain, addr = sockaddr address in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  match Unix.connect fd addr with
+  | () -> fd
+  | exception e ->
+      Unix.close fd;
+      raise e
+
+let send = Wal.write_all
+
 type config = {
   dir : string;
   address : address;
@@ -103,25 +144,16 @@ let install_signals () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
 let listen_on address =
-  match address with
-  | Unix_socket path ->
-      if Sys.file_exists path then Unix.unlink path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      Unix.set_nonblock fd;
-      fd
-  | Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      let addr =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      Unix.listen fd 64;
-      Unix.set_nonblock fd;
-      fd
+  let domain, addr = sockaddr address in
+  (match address with
+  | Unix_socket path -> if Sys.file_exists path then Unix.unlink path
+  | Tcp _ -> ());
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd addr;
+  Unix.listen fd 64;
+  Unix.set_nonblock fd;
+  fd
 
 let push_response conn response =
   if conn.alive then

@@ -46,6 +46,22 @@ open Import
 
 type address = Unix_socket of string | Tcp of string * int
 
+val tcp_of_string : string -> (address, string) result
+(** [HOST:PORT], split at the last colon; PORT in 1-65535, an empty
+    HOST is 127.0.0.1.  [Error] names the bad part, for the caller to
+    prefix. *)
+
+val address_of_string : string -> address
+(** {!tcp_of_string} when it parses, otherwise a Unix socket path (so
+    a socket path ending in [:<port>] cannot be named). *)
+
+val connect : address -> Unix.file_descr
+(** A connected stream socket.  Raises [Unix.Unix_error] on failure,
+    an unknown host name included. *)
+
+val send : Unix.file_descr -> string -> unit
+(** Write the whole string, however many writes it takes. *)
+
 type config = {
   dir : string;  (** WAL + snapshot directory (created if missing). *)
   address : address;

@@ -33,28 +33,7 @@ type conn = {
   inflight : Clock.t Queue.t;  (* send times, FIFO = response order *)
 }
 
-let connect address =
-  match address with
-  | Daemon.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      fd
-  | Daemon.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      let addr =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      Unix.connect fd (Unix.ADDR_INET (addr, port));
-      fd
-
-let send_line fd line =
-  let s = line ^ "\n" in
-  let len = String.length s in
-  let rec go pos =
-    if pos < len then go (pos + Unix.write_substring fd s pos (len - pos))
-  in
-  go 0
+let send_line fd line = Daemon.send fd (line ^ "\n")
 
 let requests_of_trace ~budget_ms trace =
   List.filter_map
@@ -114,7 +93,7 @@ let run cfg =
   match
     Array.init (max 1 cfg.connections) (fun _ ->
         {
-          fd = connect cfg.address;
+          fd = Daemon.connect cfg.address;
           inbuf = Buffer.create 256;
           inflight = Queue.create ();
         })

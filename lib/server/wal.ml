@@ -102,7 +102,7 @@ let save_snapshot ~path w replica =
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "snapshot %s: %s" path (Unix.error_message e))
 
-let load_snapshot ?cost_model ~path () =
+let read_snapshot path =
   let* contents =
     match In_channel.with_open_bin path In_channel.input_all with
     | s -> Ok s
@@ -114,8 +114,7 @@ let load_snapshot ?cost_model ~path () =
     Error (Printf.sprintf "snapshot: unknown format %S" fmt)
   else
     let* snap_seq = Result.bind (jfield "seq" json) Json.to_int in
-    let* replica = Result.bind (jfield "replica" json) (Replica.restore ?cost_model) in
-    Ok (snap_seq, replica)
+    Ok (json, snap_seq)
 
 (* --- recovery -------------------------------------------------------------- *)
 
@@ -132,22 +131,33 @@ type recovery = {
   live : Live.t;
 }
 
+type scanned = Recovered of recovery | Empty of int
+
 (* One pass over the whole WAL: every record feeds the independent
    auditor (the stream is the proof of what recovery must produce),
    records past [base_seq] also replay into the replica.  On agreement
    the writer reopens at the last complete record, cutting an
-   interrupted tail, and the auditor is handed on with the replica. *)
+   interrupted tail, and the auditor is handed on with the replica.  A
+   WAL with no complete record is [Empty], with its dangling bytes. *)
 let scan ~wal ~label ~replica ~base_seq ~from_snapshot =
-  let ic = open_in_bin wal in
+  let* c =
+    Result.map_error
+      (fun e -> e.Trace_reader.message)
+      (Trace_reader.Cursor.open_file wal)
+  in
   Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
+    ~finally:(fun () -> Trace_reader.Cursor.close c)
     (fun () ->
-      let* () = Binary.read_header ic in
+      let* () =
+        match Trace_reader.Cursor.format c with
+        | Some Trace_reader.Jsonl -> Error "missing ROTB magic"
+        | Some Trace_reader.Rotb | None -> Ok ()
+      in
       let live = Live.create () in
       let verified = ref 0 and diverged = ref 0 in
-      let rec loop last_good last_seq scanned replayed =
-        match Binary.read_item ic with
-        | Binary.Event e -> (
+      let rec loop last_seq scanned replayed =
+        match Trace_reader.Cursor.next c with
+        | Trace_reader.Event e -> (
             let* () =
               match e.Events.payload with
               | Events.Run_started { label = l } when not (String.equal l label)
@@ -171,62 +181,88 @@ let scan ~wal ~label ~replica ~base_seq ~from_snapshot =
                     Error (Printf.sprintf "wal record %d: %s" e.Events.seq m)
               else Ok replayed
             in
-            loop (pos_in ic) (max last_seq e.Events.seq) (scanned + 1) replayed)
-        | Binary.Eof -> Ok (last_good, last_seq, scanned, replayed, 0)
-        | Binary.Cut n -> Ok (last_good, last_seq, scanned, replayed, n)
-        | Binary.Malformed m ->
+            loop (max last_seq e.Events.seq) (scanned + 1) replayed)
+        | Trace_reader.End -> Ok (last_seq, scanned, replayed, 0)
+        | Trace_reader.Cut n -> Ok (last_seq, scanned, replayed, n)
+        | Trace_reader.Malformed m ->
             Error (Printf.sprintf "wal corrupt after record %d: %s" scanned m)
       in
-      let* last_good, last_seq, scanned, replayed, truncated =
-        loop (pos_in ic) 0 0 0
-      in
-      let* audited =
-        Result.map_error (fun m -> "recovery audit: " ^ m)
-          (Live.residual_digest live)
-      in
-      let mine = Replica.residual_digest replica in
-      if not (String.equal mine audited) then
-        Error
-          (Printf.sprintf
-             "recovered residual digest %s disagrees with the audited stream's %s"
-             mine audited)
+      let* last_seq, scanned, replayed, truncated = loop 0 0 0 in
+      if scanned = 0 then Ok (Empty truncated)
       else
-        Ok
-          {
-            replica;
-            writer = reopen_writer ~path:wal ~at:last_good ~last_seq;
-            from_snapshot;
-            scanned;
-            replayed;
-            truncated;
-            verified = !verified;
-            diverged = !diverged;
-            digest = mine;
-            live;
-          })
+        let* audited =
+          Result.map_error (fun m -> "recovery audit: " ^ m)
+            (Live.residual_digest live)
+        in
+        let mine = Replica.residual_digest replica in
+        if not (String.equal mine audited) then
+          Error
+            (Printf.sprintf
+               "recovered residual digest %s disagrees with the audited stream's %s"
+               mine audited)
+        else
+          let at = Trace_reader.Cursor.offset c in
+          Ok
+            (Recovered
+               {
+                 replica;
+                 writer = reopen_writer ~path:wal ~at ~last_seq;
+                 from_snapshot;
+                 scanned;
+                 replayed;
+                 truncated;
+                 verified = !verified;
+                 diverged = !diverged;
+                 digest = mine;
+                 live;
+               }))
+
+(* A snapshot is saved only after a sync, so one beside a WAL that
+   holds no complete record proves acknowledged decisions were lost
+   from the log: starting fresh would promise their capacity again. *)
+let refuse_fresh ~snapshot =
+  let covers =
+    match
+      let* json, snap_seq = read_snapshot snapshot in
+      let* offset = Result.bind (jfield "wal_offset" json) Json.to_int in
+      Ok (snap_seq, offset)
+    with
+    | Ok (snap_seq, offset) ->
+        Printf.sprintf "covers seq %d at wal offset %d" snap_seq offset
+    | Error m -> Printf.sprintf "exists (unreadable: %s)" m
+  in
+  Error
+    (Printf.sprintf
+       "the wal holds no complete record, but %s %s: acknowledged decisions \
+        are missing from the wal; refusing to start fresh"
+       snapshot covers)
 
 let recover ?cost_model ~dir ~policy () =
   let wal = wal_path ~dir in
+  let snapshot = snapshot_path ~dir in
   let label = Replica.run_label policy in
-  if not (Sys.file_exists wal) then begin
-    let replica = Replica.create ?cost_model policy in
-    let writer, events = fresh_writer ~path:wal ~label in
-    let live = Live.create () in
-    List.iter (fun e -> ignore (Live.step live e)) events;
-    Ok
-      {
-        replica;
-        writer;
-        from_snapshot = false;
-        scanned = 0;
-        replayed = 0;
-        truncated = 0;
-        verified = 0;
-        diverged = 0;
-        digest = Replica.residual_digest replica;
-        live;
-      }
-  end
+  let fresh ~truncated =
+    if Sys.file_exists snapshot then refuse_fresh ~snapshot
+    else
+      let replica = Replica.create ?cost_model policy in
+      let writer, events = fresh_writer ~path:wal ~label in
+      let live = Live.create () in
+      List.iter (fun e -> ignore (Live.step live e)) events;
+      Ok
+        {
+          replica;
+          writer;
+          from_snapshot = false;
+          scanned = 0;
+          replayed = 0;
+          truncated;
+          verified = 0;
+          diverged = 0;
+          digest = Replica.residual_digest replica;
+          live;
+        }
+  in
+  if not (Sys.file_exists wal) then fresh ~truncated:0
   else
     let attempt ~base =
       let replica, base_seq, from_snapshot =
@@ -237,19 +273,28 @@ let recover ?cost_model ~dir ~policy () =
       scan ~wal ~label ~replica ~base_seq ~from_snapshot
     in
     let base =
-      let path = snapshot_path ~dir in
-      if Sys.file_exists path then
-        match load_snapshot ?cost_model ~path () with
-        | Ok (snap_seq, replica) when Replica.policy replica = policy ->
-            Some (snap_seq, replica)
-        | Ok _ | Error _ -> None
-      else None
+      match
+        let* json, snap_seq = read_snapshot snapshot in
+        let* replica =
+          Result.bind (jfield "replica" json) (Replica.restore ?cost_model)
+        in
+        Ok (snap_seq, replica)
+      with
+      | Ok (snap_seq, replica) when Replica.policy replica = policy ->
+          Some (snap_seq, replica)
+      | Ok _ | Error _ -> None
     in
-    match base with
-    | None -> attempt ~base:None
-    | Some _ -> (
-        (* A snapshot is an optimization: if recovering through it fails
-           for any reason, the WAL alone is still the source of truth. *)
-        match attempt ~base with
-        | Ok _ as ok -> ok
-        | Error _ -> attempt ~base:None)
+    let scanned =
+      match base with
+      | None -> attempt ~base:None
+      | Some _ -> (
+          (* A snapshot is an optimization: if recovering through it fails
+             for any reason, the WAL alone is still the source of truth. *)
+          match attempt ~base with
+          | Ok _ as ok -> ok
+          | Error _ -> attempt ~base:None)
+    in
+    match scanned with
+    | Ok (Recovered r) -> Ok r
+    | Ok (Empty truncated) -> fresh ~truncated
+    | Error _ as e -> e

@@ -15,11 +15,16 @@ open Import
     source of truth), replay the WAL records past it, and cross-check by
     running the {e whole} WAL through the independent {!Live} auditor:
     the recovered controller's residual digest must equal the digest the
-    auditor reconstructs from the stream, or recovery fails.  A record
-    cut mid-write by a crash ({!Binary.Cut}) is truncated away — it was
+    auditor reconstructs from the stream, or recovery fails.  The WAL is
+    read through {!Trace_reader.Cursor}, with its crash-cut rule: a
+    record cut mid-write by a crash (a [Cut]) is truncated away — it was
     never acknowledged, write-ahead means its reply was never sent — but
     a complete record that does not decode is corruption and fails
-    recovery rather than being skipped. *)
+    recovery rather than being skipped.  A WAL with no complete record
+    at all (empty, or cut inside its header or its [run-started]) holds
+    nothing acknowledged either, and starts fresh — unless a snapshot
+    lies beside it: a snapshot is saved only after a sync, so it proves
+    acknowledged records were lost, and recovery refuses. *)
 
 val wal_path : dir:string -> string
 (** [dir ^ "/wal.rotb"]. *)
@@ -28,6 +33,9 @@ val snapshot_path : dir:string -> string
 (** [dir ^ "/snapshot.json"]. *)
 
 (** {2 The writer} *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write the whole string, however many writes it takes. *)
 
 type writer
 
@@ -88,8 +96,11 @@ val recover :
   policy:Admission.policy ->
   unit ->
   (recovery, string) result
-(** Bring up a replica in [dir], creating a fresh WAL (header +
-    [run-started]) when none exists.  Fails — refusing to serve — when
-    the WAL is for another policy, a complete record is corrupt or
-    unreplayable, or the recovered residual digest disagrees with the
-    auditor's reconstruction of the same stream. *)
+(** Bring up a replica in [dir], writing a fresh WAL (header +
+    [run-started]) when none exists or the existing one holds no
+    complete record.  Fails — refusing to serve — when such a WAL has a
+    snapshot beside it (the error names the snapshot's [seq] and
+    [wal_offset]; the file is kept), the WAL is not ROTB or is for
+    another policy, a complete record is corrupt or unreplayable, or the
+    recovered residual digest disagrees with the auditor's
+    reconstruction of the same stream. *)

@@ -166,6 +166,14 @@ let read_all path =
       QCheck.Test.fail_reportf "read_file: %s"
         (Format.asprintf "%a" Trace_reader.pp_error e)
 
+let format_of path =
+  match Trace_reader.Cursor.open_file path with
+  | Error _ -> None
+  | Ok c ->
+      let format = Trace_reader.Cursor.format c in
+      Trace_reader.Cursor.close c;
+      format
+
 let with_temp_files k =
   let jsonl = Filename.temp_file "rota-binary-prop" ".jsonl" in
   let rotb = Filename.temp_file "rota-binary-prop" ".rotb" in
@@ -200,10 +208,10 @@ let prop_pipeline_roundtrip =
       let from_jsonl = read_all jsonl in
       if from_jsonl <> events then
         QCheck.Test.fail_report "JSONL leg is not the identity";
-      if Binary.file_is_binary jsonl then
+      if format_of jsonl = Some Trace_reader.Rotb then
         QCheck.Test.fail_report "JSONL misdetected as binary";
       write_binary rotb from_jsonl;
-      if not (Binary.file_is_binary rotb) then
+      if format_of rotb <> Some Trace_reader.Rotb then
         QCheck.Test.fail_report "binary file not detected by magic";
       let from_binary = read_all rotb in
       if from_binary <> events then
@@ -395,11 +403,11 @@ let test_follow_tails_binary () =
   let path = Filename.temp_file "rota-binary-follow" ".rotb" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   write_binary path (sample_events 3);
-  match Trace_reader.Follow.open_file path with
+  match Trace_reader.Cursor.open_file path with
   | Error { Trace_reader.message; _ } ->
       Alcotest.failf "binary trace must open for tailing: %s" message
   | Ok c ->
-      Fun.protect ~finally:(fun () -> Trace_reader.Follow.close c)
+      Fun.protect ~finally:(fun () -> Trace_reader.Cursor.close c)
       @@ fun () ->
       (match Trace_reader.Follow.poll c with
       | Ok events ->

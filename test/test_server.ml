@@ -153,7 +153,9 @@ let same_state a b =
 let prop_truncation_recovers =
   QCheck.Test.make ~count:40
     ~name:"wal: recovery after truncation at any byte = replay of the prefix"
-    QCheck.(pair (int_bound 1000) (int_bound 10_000))
+    (* Half the cuts land in the first 64 bytes: the header, the
+       opening [run-started] record, and the start of the next. *)
+    QCheck.(pair (int_bound 1000) (oneof [ int_bound 64; int_bound 10_000 ]))
     (fun (seed, cut_raw) ->
       let build = temp_dir "rota-wal-build" in
       let crash = temp_dir "rota-wal-crash" in
@@ -165,21 +167,23 @@ let prop_truncation_recovers =
         In_channel.with_open_bin (Wal.wal_path ~dir:build)
           In_channel.input_all
       in
-      let header = String.length Binary.header in
       let len = String.length full in
-      (* Any offset from just-past-the-header to the full file. *)
-      let cut = header + (cut_raw mod (len - header + 1)) in
+      (* Any offset from 0 to the full file: a cut before the end of
+         the opening [run-started] record leaves no complete record,
+         and recovery must then start a fresh WAL. *)
+      let cut = cut_raw mod (len + 1) in
       Out_channel.with_open_bin (Wal.wal_path ~dir:crash) (fun oc ->
           Out_channel.output_string oc (String.sub full 0 cut));
       match Wal.recover ~dir:crash ~policy () with
       | Error m -> QCheck.Test.fail_reportf "recover at cut %d: %s" cut m
       | Ok r ->
           Wal.close r.Wal.writer;
-          (* Recovery must have truncated the dangling tail on disk. *)
+          (* Recovery must have truncated the dangling tail on disk, or
+             rewritten the header and [run-started] of a fresh WAL. *)
           let spec, complete_records =
             replay_prefix ~path:(Wal.wal_path ~dir:crash) ~policy
           in
-          if complete_records <> r.Wal.scanned then
+          if complete_records <> max 1 r.Wal.scanned then
             QCheck.Test.fail_reportf
               "cut %d: %d records on disk after recovery, %d scanned" cut
               complete_records r.Wal.scanned;
@@ -191,6 +195,67 @@ let prop_truncation_recovers =
               (Replica.residual_digest r.Wal.replica)
               (Replica.residual_digest spec);
           true)
+
+(* A WAL that lost every record after a snapshot was taken: a snapshot
+   is saved only after a sync, so acknowledged decisions are missing
+   from the log, and recovery refuses to start fresh — for an empty WAL
+   and a missing one alike — naming the snapshot and keeping it.  With
+   the snapshot moved aside, the same WAL starts fresh. *)
+let test_empty_wal_beside_snapshot_refused () =
+  let dir = temp_dir "rota-wal-empty" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let policy = Admission.Rota in
+  let snap_seq =
+    match Wal.recover ~dir ~policy () with
+    | Error m -> Alcotest.failf "recover: %s" m
+    | Ok r ->
+        let replica = r.Wal.replica and w = r.Wal.writer in
+        List.iter
+          (fun op ->
+            let payloads, _ = Replica.apply replica op in
+            if payloads <> [] then
+              ignore (Wal.append w ~sim:(Replica.now replica) payloads))
+          (ops_of ~seed:7);
+        Wal.sync w;
+        (match Wal.save_snapshot ~path:(Wal.snapshot_path ~dir) w replica with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "save_snapshot: %s" m);
+        Wal.close w;
+        Wal.seq w
+  in
+  let refused what =
+    match Wal.recover ~dir ~policy () with
+    | Ok r ->
+        Wal.close r.Wal.writer;
+        Alcotest.failf "%s beside a snapshot must be refused" what
+    | Error m ->
+        let mentions sub =
+          let n = String.length sub in
+          let rec at i =
+            i + n <= String.length m && (String.sub m i n = sub || at (i + 1))
+          in
+          at 0
+        in
+        Alcotest.(check bool)
+          (what ^ ": error names the snapshot's seq") true
+          (mentions (Printf.sprintf "covers seq %d at wal offset" snap_seq));
+        Alcotest.(check bool) (what ^ ": snapshot kept") true
+          (Sys.file_exists (Wal.snapshot_path ~dir))
+  in
+  Out_channel.with_open_bin (Wal.wal_path ~dir) ignore;
+  refused "an empty WAL";
+  Sys.remove (Wal.wal_path ~dir);
+  refused "a missing WAL";
+  Out_channel.with_open_bin (Wal.wal_path ~dir) ignore;
+  Sys.rename (Wal.snapshot_path ~dir) (Filename.concat dir "snapshot.aside");
+  match Wal.recover ~dir ~policy () with
+  | Error m -> Alcotest.failf "recover an empty WAL, no snapshot: %s" m
+  | Ok r ->
+      Wal.close r.Wal.writer;
+      Alcotest.(check int) "nothing scanned" 0 r.Wal.scanned;
+      let spec, records = replay_prefix ~path:(Wal.wal_path ~dir) ~policy in
+      Alcotest.(check int) "run-started rewritten" 1 records;
+      Alcotest.(check bool) "empty state" true (same_state spec r.Wal.replica)
 
 (* Snapshot-assisted recovery agrees with the from-scratch replay, and a
    snapshot past the surviving prefix is abandoned for the WAL. *)
@@ -702,6 +767,182 @@ let prop_daemon_matches_simulator =
         events;
       !decided = Hashtbl.length arrivals)
 
+(* --- one cursor, one crash-cut rule ------------------------------------------ *)
+
+(* QCheck: a faulted engine trace, written in both codecs and cut at any
+   byte, reads the same through every reader.  The specification is
+   computed from the record encodings alone: the [k] records that end
+   at or before the cut, and the [dangling] bytes past the last of
+   them.  [fold_file] delivers those [k] events and reports the dangling
+   bytes as its tail (keeping a JSONL line that lacks only its newline);
+   a drained [Follow.poll] delivers the same [k] with [pending_bytes] =
+   [dangling]; [validate_file] counts the events [fold_file] delivers;
+   and recovery's scan of the ROTB copy, relabelled as a serve WAL,
+   scans [k] records and truncates [dangling] bytes — starting a fresh
+   WAL when [k] is 0.  (Recovery refuses a prefix whose replay and
+   audit disagree, as one cut between a revocation and its evictions
+   does; the property holds it to exactly that.) *)
+let prop_readers_agree =
+  QCheck.Test.make ~count:30
+    ~name:"readers: every reader sees the same prefix and tail at any cut"
+    QCheck.(
+      make
+        ~print:(fun (seed, fault_seed, policy, cut) ->
+          Printf.sprintf "seed=%d fault_seed=%d policy=%s cut=%d" seed
+            fault_seed (Admission.policy_name policy) cut)
+        Gen.(
+          quad (int_bound 1000) (int_bound 100) policy_gen
+            (oneof [ int_bound 200; int_bound 1_000_000 ])))
+    (fun (seed, fault_seed, policy, cut_raw) ->
+      let p = params ~seed in
+      let faults = Scenario.fault_plan ~fault_seed ~intensity:1.5 p in
+      let events =
+        collect (fun () ->
+            ignore (Engine.run ~faults ~repair:true ~policy (Scenario.trace p)))
+        |> List.map (fun (e : Events.t) ->
+               match e.Events.payload with
+               | Events.Run_started _ ->
+                   {
+                     e with
+                     Events.payload =
+                       Events.Run_started { label = Replica.run_label policy };
+                   }
+               | _ -> e)
+      in
+      let dir = temp_dir "rota-readers" in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let jsonl_record e = Events.to_line e ^ "\n" in
+      let rotb_record e =
+        let b = Buffer.create 128 in
+        Binary.encode b e;
+        Buffer.contents b
+      in
+      let check ~name ~header ~record =
+        let records = List.map record events in
+        let full = header ^ String.concat "" records in
+        let cut = cut_raw mod (String.length full + 1) in
+        let path = Filename.concat dir ("trace." ^ name) in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc (String.sub full 0 cut));
+        (* The records that end at or before the cut. *)
+        let rec complete k at = function
+          | r :: rest when at + String.length r <= cut ->
+              complete (k + 1) (at + String.length r) rest
+          | rest -> (k, at, rest)
+        in
+        let k, boundary, rest =
+          if cut < String.length header then (0, 0, records)
+          else complete 0 (String.length header) records
+        in
+        let dangling = cut - boundary in
+        let prefix n = List.filteri (fun i _ -> i < n) events in
+        (* A JSONL line lacking only its newline still parses. *)
+        let whole_line =
+          name = "jsonl"
+          && match rest with r :: _ -> dangling = String.length r - 1 | [] -> false
+        in
+        let fail fmt =
+          QCheck.Test.fail_reportf ("%s, cut %d of %d: " ^^ fmt) name cut
+            (String.length full)
+        in
+        let expected_tail, delivered =
+          if whole_line then (Trace_reader.Complete, k + 1)
+          else if dangling = 0 then (Trace_reader.Complete, k)
+          else (Trace_reader.Truncated { line = k + 1; bytes = dangling }, k)
+        in
+        (match Trace_reader.read_file path with
+        | Error e -> fail "fold_file: %a" Trace_reader.pp_error e
+        | Ok (got, tail) ->
+            if got <> prefix delivered then
+              fail "fold_file delivered %d events, expected %d"
+                (List.length got) delivered;
+            if tail <> expected_tail then
+              fail "fold_file tail %a, expected %a" Trace_reader.pp_tail tail
+                Trace_reader.pp_tail expected_tail);
+        (match Trace_reader.Cursor.open_file path with
+        | Error e -> fail "Cursor.open_file: %a" Trace_reader.pp_error e
+        | Ok c ->
+            Fun.protect ~finally:(fun () -> Trace_reader.Cursor.close c)
+            @@ fun () ->
+            match Trace_reader.Follow.poll c with
+            | Error e -> fail "Follow.poll: %a" Trace_reader.pp_error e
+            | Ok got ->
+                if got <> prefix k then
+                  fail "Follow.poll delivered %d events, expected %d"
+                    (List.length got) k;
+                let pending = Trace_reader.Follow.pending_bytes c in
+                if pending <> dangling then
+                  fail "pending_bytes %d, expected %d" pending dangling);
+        let v = Trace_reader.validate_file path in
+        if v.Trace_reader.events <> delivered then
+          fail "validate_file counted %d events, expected %d"
+            v.Trace_reader.events delivered;
+        if name = "rotb" then begin
+          (* Recovery accepts the prefix iff its replay and its audit
+             agree — the cross-check is the oracle's, recomputed here —
+             and then it must have scanned exactly the complete records
+             and cut exactly the dangling bytes. *)
+          let agreed =
+            let replica = Replica.create policy and live = Live.create () in
+            List.for_all
+              (fun e ->
+                ignore (Live.step live e);
+                Result.is_ok (Replica.replay replica e))
+              (prefix k)
+            && Live.residual_digest live
+               = Ok (Replica.residual_digest replica)
+          in
+          let wal_dir = Filename.concat dir "state" in
+          Unix.mkdir wal_dir 0o755;
+          Sys.rename path (Wal.wal_path ~dir:wal_dir);
+          match Wal.recover ~dir:wal_dir ~policy () with
+          | Error m -> if k = 0 || agreed then fail "recover: %s" m
+          | Ok r ->
+              Wal.close r.Wal.writer;
+              if k > 0 && not agreed then
+                fail "recovery accepted a prefix its audit refuses";
+              if r.Wal.scanned <> k || r.Wal.truncated <> dangling then
+                fail "recovery scanned %d records, truncated %d bytes"
+                  r.Wal.scanned r.Wal.truncated;
+              if Live.events r.Wal.live <> max 1 k then
+                fail "recovery's auditor stepped %d events, expected %d"
+                  (Live.events r.Wal.live) (max 1 k)
+        end
+      in
+      check ~name:"jsonl" ~header:"" ~record:jsonl_record;
+      check ~name:"rotb" ~header:Binary.header ~record:rotb_record;
+      true)
+
+(* The one endpoint parser behind --socket/--tcp, --metrics-listen,
+   [metrics scrape] and [top --connect]. *)
+let test_address_of_string () =
+  let module D = Rota_server.Daemon in
+  let show = function
+    | D.Unix_socket p -> "unix " ^ p
+    | D.Tcp (h, p) -> Printf.sprintf "tcp %s %d" h p
+  in
+  let check input expected =
+    Alcotest.(check string) input expected (show (D.address_of_string input))
+  in
+  check ":45678" "tcp 127.0.0.1 45678";
+  check "localhost:7000" "tcp localhost 7000";
+  check "10.0.0.2:1" "tcp 10.0.0.2 1";
+  check "/tmp/rota.sock" "unix /tmp/rota.sock";
+  check "./state:9" "tcp ./state 9";
+  check "sock:0" "unix sock:0";
+  check "sock:65536" "unix sock:65536";
+  check "host:http" "unix host:http";
+  let tcp input =
+    match D.tcp_of_string input with
+    | Ok a -> "ok " ^ show a
+    | Error m -> "error " ^ m
+  in
+  Alcotest.(check string) "--tcp empty host" "ok tcp 127.0.0.1 45678"
+    (tcp ":45678");
+  Alcotest.(check string) "--tcp bad port" "error port \"0\"" (tcp "h:0");
+  Alcotest.(check string) "--tcp no port"
+    "error \"h\" (expected HOST:PORT)" (tcp "h")
+
 (* --- traces written before the decision record became the only one ---------- *)
 
 (* Committed fixtures from the previous binary: a faulted, watchdogged
@@ -775,6 +1016,8 @@ let () =
         :: [
              Alcotest.test_case "snapshot-assisted recovery" `Quick
                test_snapshot_recovery;
+             Alcotest.test_case "empty WAL beside a snapshot is refused"
+               `Quick test_empty_wal_beside_snapshot_refused;
              Alcotest.test_case "watchdog seeded from recovery" `Quick
                test_seeded_watchdog;
            ] );
@@ -808,6 +1051,10 @@ let () =
       ( "unified",
         List.map QCheck_alcotest.to_alcotest
           [ prop_replay_engine_traces; prop_daemon_matches_simulator ] );
+      ("readers", [ QCheck_alcotest.to_alcotest prop_readers_agree ]);
+      ( "address",
+        [ Alcotest.test_case "endpoint parsing" `Quick test_address_of_string ]
+      );
       ( "legacy",
         List.map
           (fun name -> Alcotest.test_case name `Quick (test_legacy_fixture name))

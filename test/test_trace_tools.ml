@@ -417,13 +417,13 @@ let test_follow_partial_lines () =
       i i i
   in
   let cursor =
-    match Trace_reader.Follow.open_file path with
+    match Trace_reader.Cursor.open_file path with
     | Ok c -> c
     | Error e ->
         Alcotest.failf "open_file: %s"
           (Format.asprintf "%a" Trace_reader.pp_error e)
   in
-  Fun.protect ~finally:(fun () -> Trace_reader.Follow.close cursor)
+  Fun.protect ~finally:(fun () -> Trace_reader.Cursor.close cursor)
   @@ fun () ->
   let poll () =
     match Trace_reader.Follow.poll cursor with
