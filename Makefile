@@ -30,10 +30,13 @@ bench:
 
 # Incremental-ledger smoke: run just the admission-at-scale groups so
 # the cached-residual decision path — and, in server/decide-scale, the
-# daemon's decide plus its seeded live audit at 10/100/1000 live
-# commitments (not gated yet) — is exercised beyond unit tests (the
-# O(n) invariant checker stays off here — it would hide the incremental
-# cost being measured; the test suite runs it instead).  It also runs
+# daemon's release and admit plus its seeded live audit on a sliding
+# deep ledger (72 located types, staggered windows, the clock moving on
+# every op) at 10/100/1000/10^4 live commitments, printed with the
+# within-run slope row(10^4)/row(10) (not gated yet) — is exercised
+# beyond unit tests (the O(n) invariant checker stays off here — it
+# would hide the incremental cost being measured; the test suite runs
+# it instead).  It also runs
 # server/decide-rtt (the daemon's per-request parse/decide/encode path)
 # and the server/telemetry-overhead pair (the same path with the
 # serving metrics plane off vs on).  CI runs this on every push.  The

@@ -13,11 +13,16 @@ open Import
    per release, revocation or degradation — the same discipline as
    [Calendar], but maintained from the stream alone, so the checker
    shares no state with the decider.  The residual a certificate is
-   checked against is then one difference, [capacity - committed], and
-   the cost of a decision's audit does not grow with the number of live
-   commitments.
+   checked against, [capacity - committed], is a third cached set: a
+   commitment is one difference from it, a release one union, a
+   capacity join one union.  Only a capacity fault drops it, because a
+   clamped difference does not distribute over the subtraction; the
+   next read recomputes it once.  A decision's audit therefore costs
+   what the decision touched, and the untouched profiles of the residual
+   stay physically shared — their digest slots with them — from one
+   decision to the next.
 
-   Both sums are truncated at the stream's simulated-time frontier
+   The sums are truncated at the stream's simulated-time frontier
    ([advance]), so what the auditor holds is what is still in force, not
    the history of every slice that ever joined.  Truncation is pointwise
    per tick and so commutes with union, difference and clamped
@@ -48,6 +53,10 @@ type ledger = {
       (* Live reservations, as certified (untruncated). *)
   mutable committed : Resource_set.t;
       (* The sum of [entries], truncated at [frontier]. *)
+  mutable residual : Resource_set.t option;
+      (* [capacity - committed]; [None] after a capacity fault, or while
+         the commitments exceed capacity, until [residual] recomputes
+         it. *)
   demands : (string, Interval.t * (Located_type.t * int) list) Hashtbl.t;
 }
 
@@ -59,6 +68,7 @@ let fresh_ledger () =
     capacity_known = true;
     entries = Hashtbl.create 64;
     committed = Resource_set.empty;
+    residual = Some Resource_set.empty;
     demands = Hashtbl.create 64;
   }
 
@@ -69,13 +79,16 @@ let reset_ledger led ~policy =
   led.capacity_known <- true;
   Hashtbl.reset led.entries;
   led.committed <- Resource_set.empty;
+  led.residual <- Some Resource_set.empty;
   Hashtbl.reset led.demands
 
 let advance led now =
   if now > led.frontier then begin
     led.frontier <- now;
     led.capacity <- Resource_set.truncate_before led.capacity now;
-    led.committed <- Resource_set.truncate_before led.committed now
+    led.committed <- Resource_set.truncate_before led.committed now;
+    led.residual <-
+      Option.map (fun r -> Resource_set.truncate_before r now) led.residual
   end
 
 (* A set entering either sum is cut at the frontier first, so the sums
@@ -87,8 +100,12 @@ let uncommit led id =
   | None -> ()
   | Some r -> (
       Hashtbl.remove led.entries id;
-      match Resource_set.diff led.committed (in_force led r) with
-      | Ok c -> led.committed <- c
+      let r = in_force led r in
+      match Resource_set.diff led.committed r with
+      | Ok c ->
+          led.committed <- c;
+          led.residual <-
+            Option.map (fun res -> Resource_set.union res r) led.residual
       | Error d ->
           (* [committed] is the sum of the live entries, [r] among them,
              so the difference is defined unless the sum has drifted. *)
@@ -101,16 +118,24 @@ let uncommit led id =
 let commit led id r =
   uncommit led id;
   Hashtbl.replace led.entries id r;
-  led.committed <- Resource_set.union led.committed (in_force led r)
+  let r = in_force led r in
+  led.committed <- Resource_set.union led.committed r;
+  led.residual <-
+    Option.bind led.residual (fun res -> Result.to_option (Resource_set.diff res r))
 
 let residual led =
-  match Resource_set.diff led.capacity led.committed with
-  | Ok r -> Ok r
-  | Error d ->
-      Error
-        (Format.asprintf
-           "reconstructed commitments exceed reconstructed capacity (%a)"
-           Resource_set.pp_deficit d)
+  match led.residual with
+  | Some r -> Ok r
+  | None -> (
+      match Resource_set.diff led.capacity led.committed with
+      | Ok r ->
+          led.residual <- Some r;
+          Ok r
+      | Error d ->
+          Error
+            (Format.asprintf
+               "reconstructed commitments exceed reconstructed capacity (%a)"
+               Resource_set.pp_deficit d))
 
 (* Is the id admitted-and-active, as [Admission.already_admitted] would
    see it?  Calendar entries live until explicitly released; demand
@@ -243,7 +268,7 @@ let audit_decision led ~now ~id ~action (cert : Certificate.t) =
       | Error m -> err "%s" m);
       if cert.Certificate.digest <> "" then
         check_residual (fun r ->
-            let d = Certificate.digest r in
+            let d = Certificate.digest_like cert.Certificate.digest r in
             if not (String.equal d cert.Certificate.digest) then
               err "residual digest mismatch: certificate %s, reconstructed %s"
                 cert.Certificate.digest d)
@@ -310,15 +335,25 @@ let diverged t = t.diverged
 let live_commitments t =
   Hashtbl.length t.led.entries + Hashtbl.length t.led.demands
 
-let apply_terms led terms ~f =
+let apply_terms led terms k =
   match terms with
   | Json.Null -> led.capacity_known <- false
   | terms -> (
       match Certificate.rects_of_json terms with
-      | Ok rects ->
-          led.capacity <-
-            f led.capacity (in_force led (Certificate.set_of_rects rects))
+      | Ok rects -> k (in_force led (Certificate.set_of_rects rects))
       | Error _ -> led.capacity_known <- false)
+
+(* A join distributes over the residual: (C + s) - K = (C - K) + s. *)
+let join led slice =
+  led.capacity <- Resource_set.union led.capacity slice;
+  led.residual <-
+    Option.map (fun r -> Resource_set.union r slice) led.residual
+
+(* A clamped removal does not: the residual is recomputed when next
+   read. *)
+let revoke led slice =
+  led.capacity <- Resource_set.diff_clamped led.capacity slice;
+  led.residual <- None
 
 let step t (e : Events.t) =
   t.events <- t.events + 1;
@@ -336,7 +371,7 @@ let step t (e : Events.t) =
         ~policy:(Option.value (Events.label_field "policy" label) ~default:"");
       None
   | Events.Capacity_joined { terms; _ } ->
-      apply_terms led terms ~f:Resource_set.union;
+      apply_terms led terms (join led);
       None
   | Events.Fault_injected { fault = "revocation" | "blackout"; quantity; terms }
     ->
@@ -344,7 +379,7 @@ let step t (e : Events.t) =
         (* An older binary would omit terms even for a no-op fault; a
            no-op cannot desynchronize the capacity either way. *)
         ()
-      else apply_terms led terms ~f:Resource_set.diff_clamped;
+      else apply_terms led terms (revoke led);
       None
   | Events.Fault_injected _ ->
       (* Slowdowns touch demand, not capacity; a rejoin's capacity

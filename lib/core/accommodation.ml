@@ -41,9 +41,9 @@ let step_allocation theta ~index ~subwindow step =
       (fun acc (a : Requirement.amount) ->
         let profile = Resource_set.find a.Requirement.ltype theta in
         match
-          Profile.consume profile ~window:subwindow ~quantity:a.Requirement.quantity
+          Profile.allocate profile ~window:subwindow ~quantity:a.Requirement.quantity
         with
-        | Some (_, got) ->
+        | Some got ->
             Resource_set.add_profile a.Requirement.ltype got acc
         | None ->
             (* [subwindow] extends past this amount's completion time, so

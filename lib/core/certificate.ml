@@ -56,19 +56,18 @@ let theorem_of_name = function
 
 (* --- digests -------------------------------------------------------------- *)
 
-(* 64-bit FNV-1a, folded over the canonical segment decomposition in
+(* Version 2, what every writer emits: [Resource_set.hash] printed as
+   "v2:" and 16 hex digits.  The hash is word-level and cached per
+   located type beside each profile, so a decision digests in O(types)
+   plus the segments it changed rather than O(residual).
+
+   Version 1, a bare 16-hex string, is kept as a verifier only: every
+   WAL, snapshot and fixture written before v2 carries it.  It is a
+   64-bit FNV-1a folded over the canonical segment decomposition in
    type order: per located type, the bytes of its name and a 0
    terminator (so adjacent names cannot alias), then the eight
-   little-endian bytes of every segment's start, stop and rate.
-   Hashtbl.hash would do, but its value is not specified across
-   compiler versions; a trace audited on a different build must
-   recompute the same digest.
-
-   This runs on every decision (the certificate pins the residual) and
-   on every audit, so it is one closure-free loop over the raw slabs:
-   the Int64 state lives in a local ref the compiler keeps unboxed, and
-   a located type's name bytes are rendered once and memoized instead
-   of going through Format on every call. *)
+   little-endian bytes of every segment's start, stop and rate.  A
+   located type's name bytes are rendered once and memoized. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
@@ -87,7 +86,7 @@ let name_bytes xi =
       Names.add names xi s;
       s
 
-let fnv1a set =
+let digest_v1 set =
   let types, profiles = Resource_set.unsafe_slabs set in
   let h = ref fnv_offset in
   for i = 0 to Array.length types - 1 do
@@ -113,7 +112,19 @@ let fnv1a set =
   Printf.sprintf "%016Lx" !h
 
 let h_digest = Rota_obs.Metrics.histogram "certificate/digest_s"
-let digest set = Rota_obs.Metrics.time h_digest (fun () -> fnv1a set)
+
+let digest set =
+  Rota_obs.Metrics.time h_digest (fun () ->
+      Printf.sprintf "v2:%016x" (Resource_set.hash set))
+
+let is_v1 recorded =
+  String.length recorded = 16
+  && String.for_all
+       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+       recorded
+
+let digest_like recorded set =
+  if is_v1 recorded then digest_v1 set else digest set
 
 (* --- rectangles <-> resource sets ----------------------------------------- *)
 
@@ -533,7 +544,7 @@ let verify ~residual t =
   let* () =
     if t.digest = "" then Ok ()
     else
-      let d = digest residual in
+      let d = digest_like t.digest residual in
       if String.equal d t.digest then Ok ()
       else
         Error

@@ -88,14 +88,29 @@ type t = {
 (** {1 Digests} *)
 
 val digest : Resource_set.t -> string
-(** 64-bit FNV-1a over the canonical segment decomposition, printed as
-    16 hex digits: per located type in ascending order, the bytes of
+(** The residual digest every writer emits, version 2: ["v2:"] and 16
+    hex digits of {!Resource_set.hash}.  Per located type in ascending
+    order, the type's name hash plus one mixed word per canonical
+    segment (start, stop, rate), combined in type order; deterministic
+    across processes and builds, so an offline reader can recompute it
+    from a reconstructed resource set.  The per-type parts are cached
+    beside the profiles, so a residual derived from a digested one
+    costs O(types) plus the segments the derivation changed.  Each call
+    is timed into the [certificate/digest_s] histogram. *)
+
+val digest_v1 : Resource_set.t -> string
+(** Version 1, a bare 16-hex string, kept only to verify records written
+    before version 2: 64-bit FNV-1a over the canonical segment
+    decomposition — per located type in ascending order, the bytes of
     {!Located_type.to_string} and a 0 terminator, then the eight
     little-endian bytes of each segment's start, stop and rate.
-    Deterministic across processes (no functorial hashing), so an
-    offline reader can recompute it from a reconstructed resource set.
-    O(terms) with no per-term allocation; each call is timed into the
-    [certificate/digest_s] histogram. *)
+    O(terms). *)
+
+val digest_like : string -> Resource_set.t -> string
+(** [digest_like recorded set] digests [set] in the version [recorded]
+    was written in: {!digest_v1} for a bare 16-hex string, {!digest}
+    otherwise.  Every verifier compares a recorded digest through this,
+    so a record written by either version re-verifies. *)
 
 (** {1 Construction (decider side)} *)
 
@@ -150,7 +165,8 @@ val well_formed : t -> (unit, string) result
 
 val verify : residual:Resource_set.t -> t -> (unit, string) result
 (** {!well_formed}, plus the external checks: the digest matches
-    [residual] (when the certificate carries one), and schedule evidence
+    [residual] in the certificate's own digest version (when it carries
+    one), and schedule evidence
     is dominated by [residual] — i.e. the admission really fit the
     resources that were free. *)
 

@@ -8,18 +8,28 @@ type segment = { interval : Interval.t; rate : int }
    (canonical form).  The slab layout keeps the decide/residual hot
    path walking contiguous memory instead of chasing list cells, and
    every binary operation is a single left-to-right merge — no
-   boundary lists, no closures, no sort. *)
-type t = int array
+   boundary lists, no closures, no sort.
+
+   A profile is a view of its slab: the segments from index [off], the
+   first of them starting at [head] (at or after its stored start).
+   That is what lets [truncate_before] — run on every clock tick over
+   every type of the residual — drop and cut the head of a long profile
+   in O(log segments) without copying the rest.  Every other operation
+   builds a fresh slab with [off = 0]. *)
+type t = { slab : int array; off : int; head : int }
 
 type deficit = { at : Time.t; available : int; required : int }
 
-let empty = [||]
-let is_empty p = Array.length p = 0
+let empty = { slab = [||]; off = 0; head = 0 }
+let of_slab a = if Array.length a = 0 then empty else { slab = a; off = 0; head = a.(0) }
+let nseg p = (Array.length p.slab - p.off) / 3
+let is_empty p = nseg p = 0
 
-let nseg p = Array.length p / 3
-let seg_start (p : t) i = Array.unsafe_get p (3 * i)
-let seg_stop (p : t) i = Array.unsafe_get p ((3 * i) + 1)
-let seg_rate (p : t) i = Array.unsafe_get p ((3 * i) + 2)
+let seg_start p i =
+  if i = 0 then p.head else Array.unsafe_get p.slab (p.off + (3 * i))
+
+let seg_stop p i = Array.unsafe_get p.slab (p.off + (3 * i) + 1)
+let seg_rate p i = Array.unsafe_get p.slab (p.off + (3 * i) + 2)
 
 let segments p =
   List.init (nseg p) (fun i ->
@@ -28,7 +38,13 @@ let segments p =
         rate = seg_rate p i;
       })
 
-let unsafe_slab (p : t) = p
+let unsafe_slab p =
+  if p.off = 0 && (is_empty p || p.head = p.slab.(0)) then p.slab
+  else begin
+    let a = Array.sub p.slab p.off (Array.length p.slab - p.off) in
+    a.(0) <- p.head;
+    a
+  end
 
 (* --- scratch arena -------------------------------------------------------- *)
 
@@ -45,72 +61,155 @@ let scratch_ensure n =
     scratch := Array.make (max n (2 * Array.length !scratch)) 0;
   !scratch
 
-let scratch_copy out k = if k = 0 then empty else Array.sub out 0 k
+let scratch_copy out k = if k = 0 then empty else of_slab (Array.sub out 0 k)
 
 (* --- canonical construction ---------------------------------------------- *)
 
 exception Deficit_exn of deficit
 
-(* Walk the merged boundaries of [p] and [q] left to right, applying
-   [op slice_start rate_p rate_q] on every elementary slice and
-   coalescing equal-rate neighbours as they are emitted.  [op] must
-   send (0, 0) to 0 and may raise to abort (dominance and deficit
-   checks pay no allocation at all that way). *)
-let sweep2 op (p : t) (q : t) =
-  let np = nseg p and nq = nseg q in
-  let out = scratch_ensure (6 * (np + nq)) in
-  let k = ref 0 in
-  let run_start = ref 0 and run_rate = ref 0 in
-  let ip = ref 0 and inside_p = ref false in
+(* Index of the first segment ending after [t] / starting at or after
+   [t] (both sequences ascend); [nseg p] when there is none. *)
+let first_stop_after p t =
+  let lo = ref 0 and hi = ref (nseg p) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if seg_stop p mid <= t then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let first_start_from p t =
+  let lo = ref 0 and hi = ref (nseg p) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if seg_start p mid < t then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Walk the merged boundaries of [p]'s segments [ip0, ip1) and all of
+   [q] left to right, applying [op slice_start rate_p rate_q] on every
+   elementary slice and coalescing equal-rate neighbours as they are
+   emitted into [out] from [!k].  [op] must send (0, 0) to 0 and may
+   raise to abort (dominance and deficit checks pay no allocation at
+   all that way).  The hottest loop of the library, so it reads the
+   slabs directly (segment 0 of a view starts at its [head]) and keeps
+   its state in locals the compiler holds in registers. *)
+let sweep_into op p ip0 ip1 q out k =
+  let ps = p.slab and po = p.off and ph = p.head in
+  let qs = q.slab and qo = q.off and qh = q.head and nq = nseg q in
+  let ip = ref ip0 and inside_p = ref false in
   let iq = ref 0 and inside_q = ref false in
-  let next_p () =
-    if !ip >= np then max_int
-    else if !inside_p then seg_stop p !ip
-    else seg_start p !ip
-  and next_q () =
-    if !iq >= nq then max_int
-    else if !inside_q then seg_stop q !iq
-    else seg_start q !iq
-  in
-  let rec go () =
-    let t = min (next_p ()) (next_q ()) in
-    if t <> max_int then begin
+  let run_start = ref 0 and run_rate = ref 0 and kk = ref !k in
+  let running = ref true in
+  while !running do
+    let next_p =
+      if !ip >= ip1 then max_int
+      else if !inside_p then Array.unsafe_get ps (po + (3 * !ip) + 1)
+      else if !ip = 0 then ph
+      else Array.unsafe_get ps (po + (3 * !ip))
+    and next_q =
+      if !iq >= nq then max_int
+      else if !inside_q then Array.unsafe_get qs (qo + (3 * !iq) + 1)
+      else if !iq = 0 then qh
+      else Array.unsafe_get qs (qo + (3 * !iq))
+    in
+    let t = if next_p < next_q then next_p else next_q in
+    if t = max_int then running := false
+    else begin
       (* A boundary can close one segment and open the next in the same
          tick (canonical profiles may meet with different rates). *)
-      if !ip < np then begin
-        if !inside_p && seg_stop p !ip = t then begin
+      if !ip < ip1 then begin
+        if !inside_p && Array.unsafe_get ps (po + (3 * !ip) + 1) = t then begin
           inside_p := false;
           incr ip
         end;
-        if (not !inside_p) && !ip < np && seg_start p !ip = t then
-          inside_p := true
+        if (not !inside_p) && !ip < ip1
+           && (if !ip = 0 then ph else Array.unsafe_get ps (po + (3 * !ip))) = t
+        then inside_p := true
       end;
       if !iq < nq then begin
-        if !inside_q && seg_stop q !iq = t then begin
+        if !inside_q && Array.unsafe_get qs (qo + (3 * !iq) + 1) = t then begin
           inside_q := false;
           incr iq
         end;
-        if (not !inside_q) && !iq < nq && seg_start q !iq = t then
-          inside_q := true
+        if (not !inside_q) && !iq < nq
+           && (if !iq = 0 then qh else Array.unsafe_get qs (qo + (3 * !iq))) = t
+        then inside_q := true
       end;
-      let rp = if !inside_p then seg_rate p !ip else 0
-      and rq = if !inside_q then seg_rate q !iq else 0 in
+      let rp = if !inside_p then Array.unsafe_get ps (po + (3 * !ip) + 2) else 0
+      and rq = if !inside_q then Array.unsafe_get qs (qo + (3 * !iq) + 2) else 0 in
       let r = op t rp rq in
       if r <> !run_rate then begin
         if !run_rate > 0 then begin
-          out.(!k) <- !run_start;
-          out.(!k + 1) <- t;
-          out.(!k + 2) <- !run_rate;
-          k := !k + 3
+          (* Only the first run can meet what [out] already held. *)
+          let n = !kk in
+          if n > 0 && out.(n - 2) = !run_start && out.(n - 1) = !run_rate then
+            out.(n - 2) <- t
+          else begin
+            out.(n) <- !run_start;
+            out.(n + 1) <- t;
+            out.(n + 2) <- !run_rate;
+            kk := n + 3
+          end
         end;
         run_start := t;
         run_rate := r
-      end;
-      go ()
+      end
     end
-  in
-  go ();
+  done;
+  k := !kk
+
+let sweep2 op p q =
+  let out = scratch_ensure (6 * (nseg p + nseg q)) in
+  let k = ref 0 in
+  sweep_into op p 0 (nseg p) q out k;
   scratch_copy out !k
+
+(* [sweep2 op p q] for an [op] that sends (r, 0) to r, in time
+   O(log p + q) plus one copy of [p]: the segments of [p] wholly before
+   or after [q]'s hull pass through verbatim, and only those that meet
+   it are swept.  A small change to a long profile — a reservation
+   against a deep residual — costs what it touches. *)
+let splice op p q =
+  let np = nseg p and nq = nseg q in
+  let i0 = first_stop_after p (seg_start q 0)
+  and i1 = first_start_from p (seg_stop q (nq - 1)) in
+  if i0 = 0 && i1 = np then sweep2 op p q
+  else begin
+    let mid = scratch_ensure (6 * (i1 - i0 + nq) + 6) in
+    let k = ref 0 in
+    (* The last segment before the hull seeds the swept part, so a
+       result that meets it at its rate coalesces with it. *)
+    let keep = if i0 > 0 then i0 - 1 else 0 in
+    if i0 > 0 then begin
+      mid.(0) <- seg_start p keep;
+      mid.(1) <- seg_stop p keep;
+      mid.(2) <- seg_rate p keep;
+      k := 3
+    end;
+    sweep_into op p i0 i1 q mid k;
+    let i1 =
+      if i1 < np && !k > 0
+         && mid.(!k - 2) = seg_start p i1
+         && mid.(!k - 1) = seg_rate p i1
+      then begin
+        mid.(!k - 2) <- seg_stop p i1;
+        i1 + 1
+      end
+      else i1
+    in
+    let pre = 3 * keep and post = 3 * (np - i1) in
+    let n = pre + !k + post in
+    if n = 0 then empty
+    else begin
+      let r = Array.make n 0 in
+      Array.blit p.slab p.off r 0 pre;
+      if pre > 0 then r.(0) <- p.head;
+      Array.blit mid 0 r pre !k;
+      Array.blit p.slab (p.off + (3 * i1)) r (pre + !k) post;
+      if i1 = 0 && post > 0 then r.(!k) <- p.head;
+      of_slab r
+    end
+  end
 
 (* Sum arbitrary (possibly overlapping) rate rectangles by sweeping
    their edges in time order and emitting a segment whenever the
@@ -122,7 +221,7 @@ let of_rectangles rects =
     rects;
   match List.filter (fun (_, r) -> r > 0) rects with
   | [] -> empty
-  | [ (i, r) ] -> [| Interval.start i; Interval.stop i; r |]
+  | [ (i, r) ] -> of_slab [| Interval.start i; Interval.stop i; r |]
   | rects ->
       let n = List.length rects in
       let times = Array.make (2 * n) 0 and deltas = Array.make (2 * n) 0 in
@@ -163,7 +262,7 @@ let of_rectangles rects =
 let constant i r =
   if r < 0 then invalid_arg "Profile.constant: negative rate"
   else if r = 0 then empty
-  else [| Interval.start i; Interval.stop i; r |]
+  else of_slab [| Interval.start i; Interval.stop i; r |]
 
 let of_segments l = of_rectangles l
 
@@ -184,7 +283,8 @@ let m_add_s = Rota_obs.Metrics.histogram "profile/add_s"
 let add_raw p q =
   if is_empty p then q
   else if is_empty q then p
-  else sweep2 (fun _ rp rq -> rp + rq) p q
+  else if nseg p >= nseg q then splice (fun _ rp rq -> rp + rq) p q
+  else splice (fun _ rq rp -> rp + rq) q p
 
 let add p q =
   if Rota_obs.Metrics.enabled () then begin
@@ -198,7 +298,7 @@ let sub p q =
   if is_empty q then Ok p
   else
     match
-      sweep2
+      splice
         (fun t rp rq ->
           if rp < rq then
             raise (Deficit_exn { at = t; available = rp; required = rq })
@@ -212,7 +312,11 @@ let dominates p q =
   is_empty q
   ||
   match
-    sweep2 (fun _ rp rq -> if rp < rq then raise Exit else 0) p q
+    let i0 = first_stop_after p (seg_start q 0)
+    and i1 = first_start_from p (seg_stop q (nseg q - 1)) in
+    sweep_into
+      (fun _ rp rq -> if rp < rq then raise Exit else 0)
+      p i0 i1 q (scratch_ensure 0) (ref 0)
   with
   | _ -> true
   | exception Exit -> false
@@ -222,7 +326,7 @@ let dominates p q =
    modelling capacity being ripped away, not checking a reservation. *)
 let sub_clamped p q =
   if is_empty q then p
-  else sweep2 (fun _ rp rq -> if rp > rq then rp - rq else 0) p q
+  else splice (fun _ rp rq -> if rp > rq then rp - rq else 0) p q
 
 (* Pointwise min — the part of [p] that [q] also covers. *)
 let meet p q =
@@ -233,9 +337,11 @@ let integrate p w =
   let ws = Interval.start w and we = Interval.stop w in
   let n = nseg p in
   let acc = ref 0 in
-  for i = 0 to n - 1 do
-    let lo = max ws (seg_start p i) and hi = min we (seg_stop p i) in
-    if hi > lo then acc := !acc + (seg_rate p i * (hi - lo))
+  let i = ref (first_stop_after p ws) in
+  while !i < n && seg_start p !i < we do
+    let lo = max ws (seg_start p !i) and hi = min we (seg_stop p !i) in
+    if hi > lo then acc := !acc + (seg_rate p !i * (hi - lo));
+    incr i
   done;
   !acc
 
@@ -260,7 +366,7 @@ let min_rate p w =
       else if s > t then 0
       else go (i + 1) e (min m (seg_rate p i))
   in
-  go 0 (Interval.start w) max_int
+  go (first_stop_after p (Interval.start w)) (Interval.start w) max_int
 
 let max_rate p =
   let n = nseg p in
@@ -280,33 +386,30 @@ let restrict p w =
   let n = nseg p in
   let out = scratch_ensure (3 * n) in
   let k = ref 0 in
-  for i = 0 to n - 1 do
-    let lo = max ws (seg_start p i) and hi = min we (seg_stop p i) in
+  let i = ref (first_stop_after p ws) in
+  while !i < n && seg_start p !i < we do
+    let lo = max ws (seg_start p !i) and hi = min we (seg_stop p !i) in
     if hi > lo then begin
       out.(!k) <- lo;
       out.(!k + 1) <- hi;
-      out.(!k + 2) <- seg_rate p i;
+      out.(!k + 2) <- seg_rate p !i;
       k := !k + 3
-    end
+    end;
+    incr i
   done;
   scratch_copy out !k
 
+(* The common advance case expires nothing and hands back the same
+   profile; otherwise the view moves past the expired segments and its
+   head to [t] — no copy. *)
 let truncate_before p t =
-  let n = nseg p in
-  let out = scratch_ensure (3 * n) in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    let lo = max t (seg_start p i) and hi = seg_stop p i in
-    if hi > lo then begin
-      out.(!k) <- lo;
-      out.(!k + 1) <- hi;
-      out.(!k + 2) <- seg_rate p i;
-      k := !k + 3
-    end
-  done;
-  (* The common advance case expires nothing: hand back the same slab. *)
-  if !k = Array.length p && (n = 0 || out.(0) = seg_start p 0) then p
-  else scratch_copy out !k
+  if p.head >= t || is_empty p then p
+  else if seg_stop p 0 > t then { p with head = t }
+  else begin
+    let i = first_stop_after p t in
+    if i = nseg p then empty
+    else { p with off = p.off + (3 * i); head = max t (seg_start p i) }
+  end
 
 let within p w =
   is_empty p
@@ -314,8 +417,10 @@ let within p w =
      && seg_stop p (nseg p - 1) <= Interval.stop w)
 
 let shift p d =
-  Array.init (Array.length p) (fun idx ->
-      if idx mod 3 = 2 then p.(idx) else p.(idx) + d)
+  let a = unsafe_slab p in
+  of_slab
+    (Array.init (Array.length a) (fun idx ->
+         if idx mod 3 = 2 then a.(idx) else a.(idx) + d))
 
 let first p = if is_empty p then None else Some (seg_start p 0)
 
@@ -330,7 +435,7 @@ let completion_time p ~window ~quantity =
     let ws = Interval.start window and we = Interval.stop window in
     let n = nseg p in
     let rec scan todo i =
-      if i >= n then None
+      if i >= n || seg_start p i >= we then None
       else
         let lo = max ws (seg_start p i) and hi = min we (seg_stop p i) in
         if hi <= lo then scan todo (i + 1)
@@ -342,11 +447,11 @@ let completion_time p ~window ~quantity =
             Some (lo + ((todo + r - 1) / r))
           else scan (todo - supply) (i + 1)
     in
-    scan quantity 0
+    scan quantity (first_stop_after p ws)
 
-let consume p ~window ~quantity =
-  if quantity < 0 then invalid_arg "Profile.consume: negative quantity"
-  else if quantity = 0 then Some (p, empty)
+let allocate p ~window ~quantity =
+  if quantity < 0 then invalid_arg "Profile: negative quantity to allocate"
+  else if quantity = 0 then Some empty
   else
     (* Walk available capacity inside the window earliest-first, taking
        the full rate of each tick until the last tick takes the
@@ -371,7 +476,7 @@ let consume p ~window ~quantity =
       end
     in
     let rec take todo i =
-      if i >= n then false
+      if i >= n || seg_start p i >= we then false
       else
         let lo = max ws (seg_start p i) and hi = min we (seg_stop p i) in
         if hi <= lo then take todo (i + 1)
@@ -389,15 +494,55 @@ let consume p ~window ~quantity =
             true
           end
     in
-    if not (take quantity 0) then None
-    else
-      let allocation = scratch_copy out !k in
+    if not (take quantity (first_stop_after p ws)) then None
+    else Some (scratch_copy out !k)
+
+let consume p ~window ~quantity =
+  match allocate p ~window ~quantity with
+  | None -> None
+  | Some allocation -> (
       match sub p allocation with
       | Ok remaining -> Some (remaining, allocation)
       | Error _ ->
           (* The allocation was carved out of [p], so subtraction cannot
              fail. *)
-          assert false
+          assert false)
+
+(* --- digest words ------------------------------------------------------------ *)
+
+(* Word-level mixing on native ints (the 64-bit finalizer of MurmurHash3
+   with 62-bit constants, wrapping modulo the 63-bit int).  Fixed
+   arithmetic, so every build and process computes the same words. *)
+let mix x =
+  let x = (x lxor (x lsr 32)) * 0x1c69b3f74ac4ae35 in
+  let x = (x lxor (x lsr 29)) * 0x3bd39e10cb0ef593 in
+  x lxor (x lsr 32)
+
+let segment_hash s e r = mix (mix (mix (s + 0x2545f4914f6cdd1d) + e) + r)
+
+let hash p =
+  let h = ref 0 in
+  for i = 0 to nseg p - 1 do
+    h := !h + segment_hash (seg_start p i) (seg_stop p i) (seg_rate p i)
+  done;
+  !h
+
+(* [p'] is a truncation of [p]: the same slab, viewed from further on. *)
+let hash_expired p p' =
+  if is_empty p' then hash p
+  else begin
+    let dropped = (p'.off - p.off) / 3 in
+    let h = ref 0 in
+    for i = 0 to dropped - 1 do
+      h := !h + segment_hash (seg_start p i) (seg_stop p i) (seg_rate p i)
+    done;
+    let s = seg_start p dropped in
+    if s <> p'.head then begin
+      let e = seg_stop p dropped and r = seg_rate p dropped in
+      h := !h + segment_hash s e r - segment_hash p'.head e r
+    end;
+    !h
+  end
 
 let of_terms terms =
   of_rectangles (List.map (fun t -> (Term.interval t, Term.rate t)) terms)
@@ -411,13 +556,19 @@ let to_terms ~ltype p =
 (* Triple order (start, stop, rate) in slab layout order is exactly the
    old per-segment (interval, rate) lexicographic order, with a shorter
    prefix ordering first. *)
-let compare (p : t) (q : t) =
-  let np = Array.length p and nq = Array.length q in
+let compare p q =
+  let np = nseg p and nq = nseg q in
   let rec go i =
     if i >= np || i >= nq then Int.compare np nq
     else
-      let c = Int.compare p.(i) q.(i) in
-      if c <> 0 then c else go (i + 1)
+      let c = Int.compare (seg_start p i) (seg_start q i) in
+      if c <> 0 then c
+      else
+        let c = Int.compare (seg_stop p i) (seg_stop q i) in
+        if c <> 0 then c
+        else
+          let c = Int.compare (seg_rate p i) (seg_rate q i) in
+          if c <> 0 then c else go (i + 1)
   in
   go 0
 

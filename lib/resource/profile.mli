@@ -15,7 +15,8 @@ open Import
 
     A profile covers a {e single} located type; {!Resource_set} maps located
     types to profiles.  All operations preserve canonical form, so
-    structural equality is pointwise equality of the step functions. *)
+    {!equal} is pointwise equality of the step functions (polymorphic
+    equality is not: a truncated profile is a view of a longer slab). *)
 
 type t
 (** A step function from ticks to non-negative rates, zero outside finitely
@@ -43,10 +44,12 @@ val segments : t -> segment list
 (** Canonical decomposition, leftmost first. *)
 
 val unsafe_slab : t -> int array
-(** The representation itself: the canonical segments as flat
-    [(start, stop, rate)] triples, leftmost first — {!segments} without
-    building a list.  For hot loops that only read (the residual
-    digest); writing into it breaks every invariant of the module. *)
+(** The canonical segments as flat [(start, stop, rate)] triples,
+    leftmost first — {!segments} without building a list.  The
+    representation itself when the profile is not a truncated view of
+    a longer one, else a compact copy.  For loops that only read (the v1
+    residual digest); writing into it breaks every invariant of the
+    module. *)
 
 val rate_at : t -> Time.t -> int
 (** Availability rate at a tick ([0] where undefined). *)
@@ -105,7 +108,10 @@ val within : t -> Interval.t -> bool
 val truncate_before : t -> Time.t -> t
 (** [truncate_before p t] zeroes the profile strictly before tick [t] —
     how availability decays as the clock advances (resources in the past
-    have expired). *)
+    have expired).  When nothing expires the result is [p] itself
+    (physically); otherwise it is a view of the same segments from the
+    first one still in force, cut to start at [t] — O(log segments),
+    no copy. *)
 
 val shift : t -> int -> t
 (** Translates the profile in time. *)
@@ -135,12 +141,29 @@ val consume : t -> window:Interval.t -> quantity:int -> (t * t) option
     available rate tick by tick (the paper's transition rule), except that
     the final tick takes only the remainder. *)
 
+val allocate : t -> window:Interval.t -> quantity:int -> t option
+(** The allocation half of {!consume}, without computing what remains —
+    for a caller that keeps the profile it allocated from. *)
+
 val of_terms : Term.t list -> t
 (** Sum of same-type terms, ignoring their located types (the caller —
     {!Resource_set} — groups terms by type first). *)
 
 val to_terms : ltype:Located_type.t -> t -> Term.t list
 (** The canonical segments as resource terms of the given type. *)
+
+val mix : int -> int
+(** The word mixer behind {!hash}: a fixed bijection on native ints, the
+    same in every build and process. *)
+
+val hash : t -> int
+(** The sum, wrapping, of one {!mix}ed word per canonical segment
+    (start, stop, rate) — additive over segments, so a truncation can
+    adjust it by what it drops ({!hash_expired}). *)
+
+val hash_expired : t -> t -> int
+(** [hash_expired p (truncate_before p t)] is [hash p - hash (truncate_before
+    p t)], computed from the expired segments alone. *)
 
 val equal : t -> t -> bool
 

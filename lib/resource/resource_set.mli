@@ -12,7 +12,9 @@ open Import
 
 type t
 (** A simplified resource set.  Types mapped to the empty profile are not
-    represented, so structural equality is set equality. *)
+    represented, so {!equal} is set equality.  Beside each type's profile
+    sits its digest slot ({!hash}), filled lazily; polymorphic equality
+    would see the slots, so compare sets with {!equal} or {!compare}. *)
 
 val empty : t
 
@@ -83,7 +85,20 @@ val within : t -> Interval.t -> bool
 
 val truncate_before : t -> Time.t -> t
 (** Expires all availability strictly before the given tick: how [Theta]
-    decays as the system clock advances. *)
+    decays as the system clock advances.  Returns the set itself when
+    nothing expires; a type that loses segments keeps its digest slot,
+    adjusted by the segments dropped or cut. *)
+
+val hash : t -> int
+(** A 62-bit hash of the canonical form, the word-level basis of
+    [Certificate.digest]'s v2.  Each type's slot is the type's name hash
+    plus the sum of one mixed word per canonical segment (start, stop,
+    rate), modulo 2{^62}; the set's hash mixes the slots in type order.
+    Fills every empty slot first, so a set derived from a hashed one
+    costs O(types) plus the segments of the profiles the derivation
+    changed: an operation that passes a profile through keeps its slot,
+    {!truncate_before} carries it forward, and every other operation
+    leaves the new profile's slot empty. *)
 
 val total : t -> int
 (** Sum of all quantities over all types (a size measure). *)
@@ -100,7 +115,7 @@ val fold : (Located_type.t -> Profile.t -> 'a -> 'a) -> t -> 'a -> 'a
 val unsafe_slabs : t -> Located_type.t array * Profile.t array
 (** The representation itself: the types in ascending order and their
     (non-empty) profiles, index for index — {!fold} without a closure.
-    For hot loops that only read (the residual digest); writing into
+    For loops that only read (the v1 residual digest); writing into
     either array breaks every invariant of the module. *)
 
 val update : Located_type.t -> (Profile.t -> Profile.t) -> t -> t

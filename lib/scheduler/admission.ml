@@ -59,7 +59,7 @@ let ledger_size c = Calendar.size c.calendar + Demand_map.cardinal c.demands
 
 let already_admitted c id =
   Demand_map.mem id c.demands
-  || Option.is_some (Calendar.find c.calendar ~computation:id)
+  || Calendar.mem c.calendar ~computation:id
 
 let admitted_demands c =
   List.map
@@ -537,7 +537,8 @@ let demand_of_json json =
 (* The digest stamp is the snapshot's integrity seal: restore rebuilds
    capacity, every reservation and every demand record, recomputes the
    residual, and refuses the snapshot unless its digest matches what the
-   running controller hashed at save time. *)
+   running controller hashed at save time — in the version the stamp was
+   written in, so a snapshot from before digest v2 still restores. *)
 let snapshot c =
   Json.Obj
     [
@@ -579,7 +580,7 @@ let restore ?(cost_model = Cost_model.default) json =
     | Error _ as e -> e
   in
   let c = { policy; cost_model; calendar; demands } in
-  let rebuilt = Certificate.digest (residual c) in
+  let rebuilt = Certificate.digest_like recorded (residual c) in
   if String.equal rebuilt recorded then Ok c
   else
     Error

@@ -14,13 +14,28 @@ module Id_map = Map.Make (String)
    them with one resource-set operation instead of re-folding the whole
    ledger, which keeps the admission decision path sublinear in the
    number of committed computations.  [self_check] recomputes both from
-   scratch and compares. *)
+   scratch and compares.
+
+   The ledger is lazy about time.  [advance] truncates only capacity and
+   the two caches, at [now]; entries keep the reservations they were
+   committed with, and every read of one goes through [in_force], which
+   cuts it at [now] — the auditor's rule in [Live].  Truncation is
+   pointwise per tick, so the caches equal what eagerly truncated
+   entries would sum to, and what any reader sees of an entry is what
+   an eager ledger would hold. *)
 type t = {
   capacity : Resource_set.t;
   entries : entry Id_map.t;
   committed : Resource_set.t;
   residual : Resource_set.t;
+  now : Time.t;  (** The latest [advance]; [min_int] before any. *)
 }
+
+let in_force c set = Resource_set.truncate_before set c.now
+
+let cut c e =
+  let reservation = in_force c e.reservation in
+  if reservation == e.reservation then e else { e with reservation }
 
 (* --- invariant checking -------------------------------------------------- *)
 
@@ -42,7 +57,7 @@ let set_self_check enabled = checked := enabled
 
 let recompute_committed c =
   Id_map.fold
-    (fun _ e acc -> Resource_set.union acc e.reservation)
+    (fun _ e acc -> Resource_set.union acc (in_force c e.reservation))
     c.entries Resource_set.empty
 
 let self_check c =
@@ -79,10 +94,11 @@ let create capacity =
     entries = Id_map.empty;
     committed = Resource_set.empty;
     residual = capacity;
+    now = min_int;
   }
 
 let capacity c = c.capacity
-let entries c = Id_map.fold (fun _ e acc -> e :: acc) c.entries [] |> List.rev
+let entries c = Id_map.fold (fun _ e acc -> cut c e :: acc) c.entries [] |> List.rev
 let size c = Id_map.cardinal c.entries
 let committed c = c.committed
 let residual c = c.residual
@@ -121,8 +137,9 @@ let release c ~computation =
   match Id_map.find_opt computation c.entries with
   | None -> c
   | Some e ->
+      let reservation = in_force c e.reservation in
       let committed =
-        match Resource_set.diff c.committed e.reservation with
+        match Resource_set.diff c.committed reservation with
         | Ok r -> r
         | Error d ->
             (* [committed] is the union of all live reservations, so the
@@ -137,12 +154,18 @@ let release c ~computation =
           c with
           entries = Id_map.remove computation c.entries;
           committed;
-          residual = Resource_set.union c.residual e.reservation;
+          residual = Resource_set.union c.residual reservation;
         }
 
-let find c ~computation = Id_map.find_opt computation c.entries
+let find c ~computation = Option.map (cut c) (Id_map.find_opt computation c.entries)
+let mem c ~computation = Id_map.mem computation c.entries
 
+(* Capacity joins are cut at [now] like everything else the ledger
+   holds, so nothing before the clock can back a commitment — which is
+   what lets [in_force] cut an entry at the latest advance, whenever it
+   was committed. *)
 let add_capacity c theta =
+  let theta = in_force c theta in
   debug_check
     {
       c with
@@ -179,6 +202,7 @@ let revoke c slice =
   let remaining, kept, evicted =
     Id_map.fold
       (fun id e (remaining, kept, evicted) ->
+        let e = cut c e in
         match Resource_set.diff remaining e.reservation with
         | Ok remaining -> (remaining, Id_map.add id e kept, evicted)
         | Error _ -> (remaining, kept, e :: evicted))
@@ -195,24 +219,24 @@ let revoke c slice =
     | Error _ -> assert false
   in
   ( debug_check
-      { capacity; entries = kept; committed; residual = remaining },
+      { c with capacity; entries = kept; committed; residual = remaining },
     List.rev evicted )
 
 (* Truncation is pointwise per tick, so it distributes over both the
    union behind [committed] and the complement behind [residual]: the
-   caches stay exact without recomputation. *)
+   caches stay exact without recomputation, and the entries are cut
+   when read ([in_force]), not here. *)
 let advance c now =
-  debug_check
-    {
-      capacity = Resource_set.truncate_before c.capacity now;
-      entries =
-        Id_map.map
-          (fun e ->
-            { e with reservation = Resource_set.truncate_before e.reservation now })
-          c.entries;
-      committed = Resource_set.truncate_before c.committed now;
-      residual = Resource_set.truncate_before c.residual now;
-    }
+  if now <= c.now then c
+  else
+    debug_check
+      {
+        c with
+        capacity = Resource_set.truncate_before c.capacity now;
+        committed = Resource_set.truncate_before c.committed now;
+        residual = Resource_set.truncate_before c.residual now;
+        now;
+      }
 
 let committed_quantity c xi w = Resource_set.integrate c.committed xi w
 let capacity_quantity c xi w = Resource_set.integrate c.capacity xi w
@@ -240,9 +264,9 @@ let jfield name json =
    rebuilds them, so the ledger needs no second schedule codec.  The
    certificate's digest field pins nothing here (an entry carries no
    residual) and is written empty.  The reservation is serialized on its
-   own, NOT re-derived from the schedules on restore: [advance]
-   truncates reservations but leaves schedules whole, so after any
-   advance the two genuinely differ and only the reservation is the
+   own, as in force ([entries] cuts it), NOT re-derived from the
+   schedules on restore: after any advance the in-force reservation and
+   the whole schedules genuinely differ, and only the reservation is the
    committed state. *)
 let entry_to_json (e : entry) =
   let cert =

@@ -16,7 +16,15 @@ open Import
     The admission decision path is therefore O(log n) in the number of
     committed computations (plus the size of the sets involved), instead
     of O(n).  {!self_check} recomputes both caches from scratch and
-    compares, guarding against silent drift. *)
+    compares, guarding against silent drift.
+
+    Time is lazy: {!advance} truncates only capacity and the two caches.
+    Entries keep the reservations they were committed with, and every
+    read of one ({!entries}, {!find}, {!release}, {!revoke},
+    {!self_check}, {!snapshot}) cuts it at the latest advance — the
+    {e in-force} part, exactly what an eagerly truncated entry would
+    hold.  An advance therefore costs O(residual types), not O(live
+    commitments). *)
 
 type entry = {
   computation : string;
@@ -34,7 +42,7 @@ val create : Resource_set.t -> t
 val capacity : t -> Resource_set.t
 
 val entries : t -> entry list
-(** Live entries, in computation-id order. *)
+(** Live entries, in computation-id order, each reservation in force. *)
 
 val size : t -> int
 (** Number of live entries — the ledger's telemetry size. *)
@@ -58,9 +66,14 @@ val release : t -> computation:string -> t
     ignored. *)
 
 val find : t -> computation:string -> entry option
+(** The live entry, its reservation in force. *)
+
+val mem : t -> computation:string -> bool
+(** Whether the id is live — {!find} without cutting the reservation. *)
 
 val add_capacity : t -> Resource_set.t -> t
-(** Resources joining the system. *)
+(** Resources joining the system, cut at the latest {!advance}: the
+    ledger holds nothing from before its clock. *)
 
 val remove_capacity : t -> Resource_set.t -> (t, string) result
 (** Withdraws capacity — used when delegating a slice to a child
@@ -78,7 +91,9 @@ val revoke : t -> Resource_set.t -> t * entry list
     Theorem 4). *)
 
 val advance : t -> Time.t -> t
-(** Expires capacity and reservations strictly before the given tick. *)
+(** Expires capacity and reservations strictly before the given tick (a
+    tick at or before the latest advance changes nothing).  Entries are
+    cut when read, not here. *)
 
 val committed_quantity : t -> Located_type.t -> Interval.t -> int
 

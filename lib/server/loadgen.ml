@@ -17,6 +17,8 @@ type report = {
   failed : int;
   duration_s : float;
   rtt_ms : float * float * float * float;  (* p50, p90, p95, p99 *)
+  rtt_mean_ms : float;
+  rtt_max_ms : float;
   digest : string option;
 }
 
@@ -73,6 +75,9 @@ let run cfg =
      point of this process is the latency histogram, so switch it on. *)
   Metrics.set_enabled true;
   let hist = Metrics.histogram ~buckets:rtt_buckets "load_rtt_ms" in
+  (* The buckets bound the quantiles; the tail's one worst round trip is
+     kept exactly. *)
+  let rtt_max = ref 0. in
   let admitted = ref 0
   and rejected = ref 0
   and shed = ref 0
@@ -125,7 +130,10 @@ let run cfg =
               | Error m -> Error ("bad response: " ^ m)
               | Ok { Wire.reply; _ } ->
                   (match Queue.take_opt c.inflight with
-                  | Some t0 -> Metrics.observe hist (Clock.since t0 *. 1000.)
+                  | Some t0 ->
+                      let ms = Clock.since t0 *. 1000. in
+                      Metrics.observe hist ms;
+                      if ms > !rtt_max then rtt_max := ms
                   | None -> ());
                   classify reply;
                   sample_tick ();
@@ -244,6 +252,8 @@ let run cfg =
                 failed = !failed;
                 duration_s;
                 rtt_ms = (q 0.5, q 0.9, q 0.95, q 0.99);
+                rtt_mean_ms = Metrics.hist_mean hist;
+                rtt_max_ms = !rtt_max;
                 digest;
               }
       in
@@ -254,10 +264,10 @@ let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>offered %d (joins %d): admitted %d, rejected %d, shed %d, failed %d@,\
      %.2fs wall, %.1f req/s@,\
-     rtt ms: p50 %.3f  p90 %.3f  p95 %.3f  p99 %.3f"
+     rtt ms: mean %.3f  p50 %.3f  p90 %.3f  p95 %.3f  p99 %.3f  max %.3f"
     r.offered r.joins r.admitted r.rejected r.shed r.failed r.duration_s
     (float_of_int (r.offered + r.joins) /. max 1e-9 r.duration_s)
-    p50 p90 p95 p99;
+    r.rtt_mean_ms p50 p90 p95 p99 r.rtt_max_ms;
   (match r.digest with
   | Some d -> Format.fprintf ppf "@,residual digest: %s" d
   | None -> ());

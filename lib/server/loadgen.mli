@@ -29,6 +29,10 @@ type report = {
   failed : int;
   duration_s : float;
   rtt_ms : float * float * float * float;  (** p50, p90, p95, p99. *)
+  rtt_mean_ms : float;
+  rtt_max_ms : float;
+      (** The worst round trip, exact: the quantiles above come from
+          histogram buckets and cannot show how long the tail is. *)
   digest : string option;
       (** The daemon's residual digest after the run — what [rota
           audit] of its WAL must reproduce. *)

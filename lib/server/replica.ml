@@ -9,7 +9,7 @@ let run_label policy =
    controller prunes them when it advances). *)
 let live_at t id ~at =
   let ctrl = controller t in
-  Calendar.find (Admission.calendar ctrl) ~computation:id <> None
+  Calendar.mem (Admission.calendar ctrl) ~computation:id
   || List.exists
        (fun (d, w, _) -> String.equal d id && Interval.stop w > at)
        (Admission.admitted_demands ctrl)

@@ -363,8 +363,9 @@ let test_explain_renders_decision () =
 
 (* The digest as first written: a closure per byte over the boxed Int64
    state, [Located_type.to_string] per type, a segment list per profile.
-   Every WAL, snapshot and committed fixture carries digests made this
-   way, so the production loop must return exactly these strings. *)
+   Every WAL, snapshot and committed fixture written before digest v2
+   carries digests made this way, so the v1 verifier must return exactly
+   these strings. *)
 let reference_digest set =
   let h = ref 0xcbf29ce484222325L in
   let prime = 0x100000001b3L in
@@ -431,16 +432,94 @@ let prop_digest_pinned =
     ~name:"digest: identical bytes to the reference FNV-1a"
     (QCheck.make ~print:(Format.asprintf "%a" Resource_set.pp) set_gen)
     (fun set ->
-      let got = Certificate.digest set and want = reference_digest set in
+      let got = Certificate.digest_v1 set and want = reference_digest set in
       if got <> want then
         QCheck.Test.fail_reportf "digest %s, reference %s" got want;
       true)
 
+(* Digest v2 reads per-type hash slots that set operations carry from
+   their operands.  Over random sequences of operations — digesting the
+   running set now and then, so some slots are filled, carried and
+   adjusted and others start empty — the cached digest must equal a
+   from-scratch one over the same canonical terms. *)
+type set_op =
+  | Union of Resource_set.t
+  | Diff of Resource_set.t
+  | Diff_clamped of Resource_set.t
+  | Meet of Resource_set.t
+  | Restrict of int * int
+  | Truncate of int
+
+let set_op_gen =
+  let open QCheck.Gen in
+  let tick = oneof [ int_range (-50) 500; int_range (-(1 lsl 40)) (1 lsl 40) ] in
+  frequency
+    [
+      (3, map (fun s -> Union s) set_gen);
+      (2, map (fun s -> Diff s) set_gen);
+      (2, map (fun s -> Diff_clamped s) set_gen);
+      (1, map (fun s -> Meet s) set_gen);
+      (1, map2 (fun a d -> Restrict (a, a + 1 + d)) tick (int_bound 400));
+      (4, map (fun t -> Truncate t) tick);
+    ]
+
+let apply_set_op set = function
+  | Union s -> Resource_set.union set s
+  | Diff s -> (
+      (* Subtract what is there, so the difference is usually defined. *)
+      match Resource_set.diff set (Resource_set.meet set s) with
+      | Ok r -> r
+      | Error _ -> set)
+  | Diff_clamped s -> Resource_set.diff_clamped set s
+  | Meet s -> Resource_set.meet set (Resource_set.union set s)
+  | Restrict (a, b) -> Resource_set.restrict set (Interval.of_pair a b)
+  | Truncate t -> Resource_set.truncate_before set t
+
+let from_scratch set =
+  Certificate.digest (Resource_set.of_terms (Resource_set.to_terms set))
+
+let prop_digest_slots =
+  QCheck.Test.make ~count:300
+    ~name:"digest v2: cached slots = from-scratch over random set operations"
+    (QCheck.make
+       ~print:(fun (s, ops) ->
+         Format.asprintf "%a after %d ops" Resource_set.pp s (List.length ops))
+       QCheck.Gen.(pair set_gen (list_size (int_range 1 25) (pair set_op_gen bool))))
+    (fun (start, ops) ->
+      ignore
+        (List.fold_left
+           (fun set (op, digest_now) ->
+             if digest_now then ignore (Certificate.digest set);
+             let set = apply_set_op set op in
+             let cached = Certificate.digest set and fresh = from_scratch set in
+             if cached <> fresh then
+               QCheck.Test.fail_reportf "cached %s, from scratch %s at %a" cached
+                 fresh Resource_set.pp set;
+             set)
+           start ops);
+      true)
+
+let test_digest_versions () =
+  let set =
+    Resource_set.add_profile
+      (Located_type.cpu (Location.make "n1"))
+      (Profile.of_segments [ (Interval.of_pair 0 10, 3) ])
+      Resource_set.empty
+  in
+  let v1 = Certificate.digest_v1 set and v2 = Certificate.digest set in
+  Alcotest.(check int) "v1 is bare 16-hex" 16 (String.length v1);
+  Alcotest.(check bool) "v2 carries its tag" true
+    (String.starts_with ~prefix:"v2:" v2);
+  Alcotest.(check string) "a v1 record re-digests as v1" v1
+    (Certificate.digest_like v1 set);
+  Alcotest.(check string) "a v2 record re-digests as v2" v2
+    (Certificate.digest_like v2 set)
+
 let test_digest_empty () =
   Alcotest.(check string) "empty set" (reference_digest Resource_set.empty)
-    (Certificate.digest Resource_set.empty);
+    (Certificate.digest_v1 Resource_set.empty);
   Alcotest.(check string) "FNV-1a offset basis" "cbf29ce484222325"
-    (Certificate.digest Resource_set.empty)
+    (Certificate.digest_v1 Resource_set.empty)
 
 (* --- the incremental auditor against the from-scratch fold ----------------- *)
 
@@ -688,6 +767,8 @@ let () =
         [
           Alcotest.test_case "empty set" `Quick test_digest_empty;
           QCheck_alcotest.to_alcotest prop_digest_pinned;
+          Alcotest.test_case "versions" `Quick test_digest_versions;
+          QCheck_alcotest.to_alcotest prop_digest_slots;
         ] );
       ( "live",
         [

@@ -1,6 +1,5 @@
 (* Tests for the extension modules implementing the paper's future-work
-   directions: Stn (metric temporal constraints), Precedence + Session
-   (interacting actors), Pool (CyberOrgs encapsulations), Planner
+   directions: Precedence + Session (interacting actors), Pool (CyberOrgs encapsulations), Planner
    (stay-or-migrate choices). *)
 
 open Rota_interval
@@ -21,101 +20,6 @@ let a_name = Actor_name.make "alice"
 let b_name = Actor_name.make "bob"
 
 let complex steps window = Requirement.make_complex ~steps ~window
-
-(* --- Stn ------------------------------------------------------------------ *)
-
-let test_stn_basics () =
-  let stn = Stn.create 3 in
-  Alcotest.(check int) "size" 3 (Stn.size stn);
-  Alcotest.(check bool) "empty consistent" true (Stn.consistent stn);
-  Stn.before stn ~gap:2 0 1;
-  (* p1 >= p0 + 2 *)
-  Stn.before stn ~gap:3 1 2;
-  (* p2 >= p1 + 3 *)
-  Alcotest.(check bool) "chain consistent" true (Stn.consistent stn);
-  Alcotest.(check (option int)) "earliest p1" (Some 2) (Stn.earliest stn 1);
-  Alcotest.(check (option int)) "earliest p2" (Some 5) (Stn.earliest stn 2);
-  Alcotest.(check (option int)) "p2 unbounded above" (Some max_int)
-    (Stn.latest stn 2)
-
-let test_stn_window_and_pin () =
-  let stn = Stn.create 2 in
-  Stn.window stn 1 ~lo:4 ~hi:9;
-  Alcotest.(check (option int)) "earliest" (Some 4) (Stn.earliest stn 1);
-  Alcotest.(check (option int)) "latest" (Some 9) (Stn.latest stn 1);
-  Stn.at stn 1 6;
-  Alcotest.(check (option int)) "pinned earliest" (Some 6) (Stn.earliest stn 1);
-  Alcotest.(check (option int)) "pinned latest" (Some 6) (Stn.latest stn 1);
-  (* Pinning outside the window is inconsistent. *)
-  let bad = Stn.create 2 in
-  Stn.window bad 1 ~lo:4 ~hi:9;
-  Stn.at bad 1 10;
-  Alcotest.(check bool) "inconsistent" false (Stn.consistent bad);
-  Alcotest.(check (option int)) "earliest on inconsistent" None
-    (Stn.earliest bad 1)
-
-let test_stn_negative_cycle () =
-  let stn = Stn.create 2 in
-  Stn.before stn ~gap:3 0 1;
-  Stn.before stn ~gap:1 1 0;
-  Alcotest.(check bool) "cycle detected" false (Stn.consistent stn)
-
-let test_stn_distance () =
-  let stn = Stn.create 3 in
-  Stn.add_constraint stn ~hi:5 0 1;
-  Stn.add_constraint stn ~hi:7 1 2;
-  Alcotest.(check (option int)) "transitive bound" (Some 12) (Stn.distance stn 0 2);
-  Alcotest.(check (option int)) "unconstrained" (Some max_int)
-    (Stn.distance stn 2 0)
-
-let test_stn_schedule_and_copy () =
-  let stn = Stn.create 4 in
-  Stn.before stn ~gap:1 0 1;
-  Stn.before stn ~gap:2 1 2;
-  Stn.before stn ~gap:1 1 3;
-  (match Stn.schedule stn with
-  | None -> Alcotest.fail "consistent network should schedule"
-  | Some p ->
-      Alcotest.(check int) "origin at 0" 0 p.(0);
-      Alcotest.(check bool) "respects 0->1" true (p.(1) - p.(0) >= 1);
-      Alcotest.(check bool) "respects 1->2" true (p.(2) - p.(1) >= 2);
-      Alcotest.(check bool) "respects 1->3" true (p.(3) - p.(1) >= 1));
-  let copy = Stn.copy stn in
-  Stn.before stn ~gap:100 0 3;
-  Alcotest.(check (option int)) "copy unaffected" (Some 2) (Stn.earliest copy 3);
-  Alcotest.(check (option int)) "original tightened" (Some 100)
-    (Stn.earliest stn 3)
-
-(* Random STNs: if consistent, the earliest schedule satisfies every
-   constraint that was added. *)
-let prop_stn_schedule_valid =
-  let open QCheck in
-  let constraint_gen =
-    Gen.(
-      let* i = int_range 0 4 in
-      let* j = int_range 0 4 in
-      let* lo = int_range (-3) 5 in
-      let* width = int_range 0 6 in
-      return (i, j, lo, lo + width))
-  in
-  Test.make ~name:"stn schedules satisfy all constraints" ~count:300
-    (make
-       ~print:(fun cs ->
-         String.concat ";"
-           (List.map (fun (i, j, lo, hi) -> Printf.sprintf "%d<=p%d-p%d<=%d" lo j i hi) cs))
-       Gen.(list_size (int_range 0 8) constraint_gen))
-    (fun constraints ->
-      let stn = Stn.create 5 in
-      List.iter (fun (i, j, lo, hi) -> Stn.add_constraint stn ~lo ~hi i j) constraints;
-      match Stn.schedule stn with
-      | None -> not (Stn.consistent stn)
-      | Some p ->
-          Stn.consistent stn
-          && List.for_all
-               (fun (i, j, lo, hi) ->
-                 let d = p.(j) - p.(i) in
-                 lo <= d && d <= hi)
-               constraints)
 
 (* --- Precedence -------------------------------------------------------------- *)
 
@@ -700,7 +604,6 @@ let prop_session_nodes_well_formed =
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_stn_schedule_valid;
       prop_precedence_respects_deps;
       prop_pool_conservation;
       prop_session_nodes_well_formed;
@@ -709,14 +612,6 @@ let properties =
 let () =
   Alcotest.run "rota_extensions"
     [
-      ( "stn",
-        [
-          Alcotest.test_case "basics" `Quick test_stn_basics;
-          Alcotest.test_case "window/pin" `Quick test_stn_window_and_pin;
-          Alcotest.test_case "negative cycle" `Quick test_stn_negative_cycle;
-          Alcotest.test_case "distance" `Quick test_stn_distance;
-          Alcotest.test_case "schedule/copy" `Quick test_stn_schedule_and_copy;
-        ] );
       ( "precedence",
         [
           Alcotest.test_case "chain" `Quick test_precedence_chain;

@@ -353,41 +353,6 @@ let test_admission_withdraw () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "withdraw of unknown accepted"
 
-let test_stn_of_ia_scenario () =
-  (* Realize a qualitative scenario metrically and check the relations. *)
-  let ivs = [| iv 0 3; iv 1 2; iv 3 6 |] in
-  let n = Array.length ivs in
-  let scenario =
-    Array.init n (fun i -> Array.init n (fun j -> Allen.relate ivs.(i) ivs.(j)))
-  in
-  let stn = Stn.of_ia_scenario scenario in
-  Alcotest.(check bool) "consistent" true (Stn.consistent stn);
-  (match Stn.schedule stn with
-  | None -> Alcotest.fail "schedulable"
-  | Some p ->
-      let realized =
-        Array.init n (fun i -> iv p.((2 * i) + 1) p.((2 * i) + 2))
-      in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          Alcotest.(check bool)
-            (Printf.sprintf "relation %d-%d preserved" i j)
-            true
-            (Allen.relate realized.(i) realized.(j) = scenario.(i).(j))
-        done
-      done);
-  (* An impossible triangle — a before b, b before c, yet a after c — is
-     inconsistent.  (Only the upper triangle of the matrix is read.) *)
-  let bad =
-    [|
-      [| Allen.Equals; Allen.Before; Allen.After |];
-      [| Allen.After; Allen.Equals; Allen.Before |];
-      [| Allen.Before; Allen.After; Allen.Equals |];
-    |]
-  in
-  Alcotest.(check bool) "impossible scenario" false
-    (Stn.consistent (Stn.of_ia_scenario bad))
-
 (* Conservation: in every engine run, consumed <= capacity. *)
 let prop_engine_conservation =
   QCheck.Test.make ~name:"engine consumes at most the capacity" ~count:40
@@ -475,7 +440,6 @@ let () =
           Alcotest.test_case "semantics witness" `Quick test_semantics_witness;
           Alcotest.test_case "engine type stats" `Quick test_engine_type_stats;
           Alcotest.test_case "admission withdraw" `Quick test_admission_withdraw;
-          Alcotest.test_case "stn of ia scenario" `Quick test_stn_of_ia_scenario;
         ] );
       ( "failure_injection",
         [

@@ -208,6 +208,139 @@ let prop_calendar_residual_cache =
       in
       true)
 
+(* The lazy calendar against eager truncation.  The model below is the
+   ledger as it was before [Calendar.advance] stopped touching entries:
+   every advance cuts capacity and every reservation, and joins are cut
+   at the clock.  Over random operation sequences (revocations
+   included) both must give the same residual, the same verdicts, and
+   the same entries — what a snapshot serializes — while the calendar's
+   own self-check runs after every operation. *)
+module Id_map = Map.Make (String)
+
+type eager = { cap : Resource_set.t; held : Resource_set.t Id_map.t; clock : int }
+
+let eager_residual m =
+  Id_map.fold (fun _ r acc -> Resource_set.union acc r) m.held Resource_set.empty
+  |> Resource_set.diff m.cap
+  |> Result.get_ok
+
+let eager_apply m = function
+  | `Cal (Commit (k, a, d, r)) ->
+      let id = Printf.sprintf "c%d" k in
+      let res = rset [ Term.v r (iv a (a + d)) cpu1 ] in
+      if Id_map.mem id m.held then (m, "dup")
+      else (
+        match Resource_set.diff (eager_residual m) res with
+        | Ok _ -> ({ m with held = Id_map.add id res m.held }, "ok")
+        | Error _ -> (m, "refused"))
+  | `Cal (Release k) -> ({ m with held = Id_map.remove (Printf.sprintf "c%d" k) m.held }, "")
+  | `Cal (Advance t) ->
+      if t <= m.clock then (m, "")
+      else
+        ( {
+            cap = Resource_set.truncate_before m.cap t;
+            held = Id_map.map (fun r -> Resource_set.truncate_before r t) m.held;
+            clock = t;
+          },
+          "" )
+  | `Cal (Add_capacity (a, d, r)) ->
+      let theta = Resource_set.truncate_before (rset [ Term.v r (iv a (a + d)) cpu1 ]) m.clock in
+      ({ m with cap = Resource_set.union m.cap theta }, "")
+  | `Cal (Remove_capacity (a, d, r)) -> (
+      let slice = rset [ Term.v r (iv a (a + d)) cpu1 ] in
+      match Resource_set.diff (eager_residual m) slice with
+      | Ok _ -> ({ m with cap = Result.get_ok (Resource_set.diff m.cap slice) }, "ok")
+      | Error _ -> (m, "refused"))
+  | `Revoke (a, d, r) ->
+      let cap = Resource_set.diff_clamped m.cap (rset [ Term.v r (iv a (a + d)) cpu1 ]) in
+      let _, held, evicted =
+        Id_map.fold
+          (fun id res (remaining, held, evicted) ->
+            match Resource_set.diff remaining res with
+            | Ok remaining -> (remaining, Id_map.add id res held, evicted)
+            | Error _ -> (remaining, held, (id, res) :: evicted))
+          m.held (cap, Id_map.empty, [])
+      in
+      ({ m with cap; held }, String.concat "," (List.rev_map fst evicted))
+
+let lazy_apply cal op =
+  match op with
+  | `Cal (Commit (k, a, d, r)) -> (
+      let computation = Printf.sprintf "c%d" k in
+      let window = iv a (a + d) in
+      match
+        Calendar.commit cal
+          {
+            Calendar.computation;
+            window;
+            reservation = rset [ Term.v r window cpu1 ];
+            schedules = [];
+          }
+      with
+      | Ok cal -> (cal, "ok")
+      | Error _ -> (cal, if Calendar.mem cal ~computation then "dup" else "refused"))
+  | `Cal (Remove_capacity (a, d, r)) -> (
+      match Calendar.remove_capacity cal (rset [ Term.v r (iv a (a + d)) cpu1 ]) with
+      | Ok cal -> (cal, "ok")
+      | Error _ -> (cal, "refused"))
+  | `Cal op -> (apply_cal_op cal op, "")
+  | `Revoke (a, d, r) ->
+      let cal, evicted = Calendar.revoke cal (rset [ Term.v r (iv a (a + d)) cpu1 ]) in
+      (cal, String.concat "," (List.map (fun (e : Calendar.entry) -> e.Calendar.computation) evicted))
+
+let prop_calendar_lazy_matches_eager =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun op -> `Cal op) cal_op_gen);
+          ( 1,
+            map3
+              (fun a d r -> `Revoke (a, d, r))
+              (int_range 0 30) (int_range 1 8) (int_range 1 4) );
+        ])
+  in
+  let pp = function
+    | `Cal op -> pp_cal_op op
+    | `Revoke (a, d, r) -> Printf.sprintf "revoke [%d,%d)@%d" a (a + d) r
+  in
+  QCheck.Test.make ~name:"calendar: lazy advance = eager truncation" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp ops))
+       QCheck.Gen.(list_size (int_range 1 40) op_gen))
+    (fun ops ->
+      let capacity = rset [ Term.v 5 (iv 0 40) cpu1 ] in
+      let entries_of cal =
+        List.map
+          (fun (e : Calendar.entry) -> (e.Calendar.computation, e.Calendar.reservation))
+          (Calendar.entries cal)
+      in
+      ignore
+        (List.fold_left
+           (fun (cal, m) op ->
+             let cal, got = lazy_apply cal op and m, want = eager_apply m op in
+             if got <> want then
+               QCheck.Test.fail_reportf "%s: calendar %S, eager %S" (pp op) got want;
+             if not (Resource_set.equal (Calendar.residual cal) (eager_residual m)) then
+               QCheck.Test.fail_reportf "%s: residuals differ" (pp op);
+             let mine = entries_of cal and theirs = Id_map.bindings m.held in
+             if
+               List.length mine <> List.length theirs
+               || not
+                    (List.for_all2
+                       (fun (a, r) (b, r') -> a = b && Resource_set.equal r r')
+                       mine theirs)
+             then QCheck.Test.fail_reportf "%s: entries differ" (pp op);
+             (match Calendar.restore (Calendar.snapshot cal) with
+             | Ok back ->
+                 if not (Resource_set.equal (Calendar.residual back) (eager_residual m))
+                 then QCheck.Test.fail_reportf "%s: restored residual differs" (pp op)
+             | Error e -> QCheck.Test.fail_reportf "%s: snapshot refused: %s" (pp op) e);
+             (cal, m))
+           (Calendar.create capacity, { cap = capacity; held = Id_map.empty; clock = min_int })
+           ops);
+      true)
+
 (* --- Admission: ROTA policy --------------------------------------------- *)
 
 let test_admission_rota_admits_and_reserves () =
@@ -375,6 +508,7 @@ let () =
           Alcotest.test_case "advance/capacity" `Quick
             test_calendar_advance_and_capacity;
           QCheck_alcotest.to_alcotest prop_calendar_residual_cache;
+          QCheck_alcotest.to_alcotest prop_calendar_lazy_matches_eager;
           Alcotest.test_case "release reports cache drift" `Quick
             test_calendar_release_reports_drift;
           Alcotest.test_case "remove_capacity reports cache drift" `Quick

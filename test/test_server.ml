@@ -652,14 +652,45 @@ let test_snapshot_tamper_refused () =
     | Json.Obj fields ->
         Json.Obj (List.map (fun (k, v) -> (k, tamper v)) fields)
     | Json.List items -> Json.List (List.map tamper items)
-    | Json.String s when String.length s = 16 && s <> "" ->
-        (* Digest-shaped strings get one nibble flipped. *)
+    | Json.String s
+      when String.length s = 16 || String.starts_with ~prefix:"v2:" s ->
+        (* Digest-shaped strings (v1 or v2) get their last nibble flipped. *)
+        let last = String.length s - 1 in
         Json.String
-          (String.mapi (fun i c -> if i = 0 then (if c = '0' then '1' else '0') else c) s)
+          (String.mapi (fun i c -> if i = last then (if c = '0' then '1' else '0') else c) s)
     | other -> other
   in
   match Replica.restore (tamper json) with
   | Ok _ -> Alcotest.fail "tampered snapshot must be refused"
+  | Error _ -> ()
+
+(* A snapshot stamped before digest v2 carries a bare 16-hex v1 digest;
+   restore checks the stamp in the version it was written in, so such a
+   snapshot still restores — and a wrong v1 stamp is still refused. *)
+let test_v1_snapshot_restores () =
+  let dir = temp_dir "rota-v1-snapshot" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let live = build_wal ~dir ~policy:Admission.Rota (ops_of ~seed:4) in
+  let ctrl = Replica.controller live in
+  let stamp digest =
+    match Admission.snapshot ctrl with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) -> if k = "digest" then (k, Json.String digest) else (k, v))
+             fields)
+    | _ -> Alcotest.fail "admission snapshot is not an object"
+  in
+  let v1 = Certificate.digest_v1 (Admission.residual ctrl) in
+  (match Admission.restore (stamp v1) with
+  | Ok back ->
+      Alcotest.(check string) "same residual"
+        (Certificate.digest (Admission.residual ctrl))
+        (Certificate.digest (Admission.residual back))
+  | Error m -> Alcotest.failf "v1-stamped snapshot refused: %s" m);
+  let wrong = String.mapi (fun i c -> if i = 15 then (if c = '0' then '1' else '0') else c) v1 in
+  match Admission.restore (stamp wrong) with
+  | Ok _ -> Alcotest.fail "a wrong v1 stamp must be refused"
   | Error _ -> ()
 
 (* --- one state machine for simulator and daemon ------------------------------ *)
@@ -953,6 +984,86 @@ let test_address_of_string () =
 let legacy_fixtures =
   [ "legacy-sim.jsonl"; "legacy-sim.rotb"; "legacy-serve-wal.rotb" ]
 
+let decision_digests path =
+  match Trace_reader.read_file path with
+  | Ok (events, _) ->
+      List.filter_map
+        (fun (e : Events.t) ->
+          match e.Events.payload with
+          | Events.Decision { certificate; _ } -> (
+              match Certificate.of_json certificate with
+              | Ok c when c.Certificate.digest <> "" -> Some c.Certificate.digest
+              | _ -> None)
+          | _ -> None)
+        events
+  | Error e -> Alcotest.failf "read: %s" (Format.asprintf "%a" Trace_reader.pp_error e)
+
+let is_v1 d = String.length d = 16 && not (String.contains d ':')
+
+(* A daemon that recovers the legacy WAL (v1 digests throughout) and
+   decides more requests appends v2 digests after them; the mixed log
+   re-audits with every decision verified, each against the digest
+   version it was written in, and recovers again with 0 divergences. *)
+let test_mixed_digest_wal () =
+  let dir = temp_dir "rota-mixed-wal" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let wal = Wal.wal_path ~dir in
+  (let ic = open_in_bin (Filename.concat "fixtures" "legacy-serve-wal.rotb") in
+   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+   let oc = open_out_bin wal in
+   output_string oc (really_input_string ic (in_channel_length ic));
+   close_out oc);
+  Alcotest.(check bool) "the fixture's digests are all v1" true
+    (List.for_all is_v1 (decision_digests wal));
+  let start =
+    match Wal.recover ~dir ~policy:Admission.Rota () with
+    | Ok r ->
+        let t = Replica.now r.Wal.replica in
+        Wal.close r.Wal.writer;
+        t
+    | Error m -> Alcotest.failf "recovering the legacy wal: %s" m
+  in
+  let node = Rota_resource.Location.make "m1" in
+  let computation i =
+    Computation.make ~id:(Printf.sprintf "mixed-%d" i) ~start:(start + 1 + (4 * i))
+      ~deadline:(start + 40 + (4 * i))
+      [
+        Rota_actor.Program.make ~name:(Rota_actor.Actor_name.make "a") ~home:node
+          [ Rota_actor.Action.evaluate 1; Rota_actor.Action.ready ];
+      ]
+  in
+  let ops =
+    Wire.Join
+      {
+        now = start + 1;
+        terms =
+          Certificate.rects_of_set
+            (Resource_set.of_terms
+               [
+                 Rota_resource.Term.v 3
+                   (Interval.of_pair (start + 1) (start + 200))
+                   (Rota_resource.Located_type.cpu node);
+               ]);
+      }
+    :: List.init 8 (fun i ->
+           Wire.Admit { now = start + 1 + (4 * i); computation = computation i; budget_ms = None })
+  in
+  ignore (build_wal ~dir ~policy:Admission.Rota ops);
+  let digests = decision_digests wal in
+  Alcotest.(check bool) "v1 digests remain" true (List.exists is_v1 digests);
+  Alcotest.(check bool) "v2 digests follow" true
+    (List.exists (String.starts_with ~prefix:"v2:") digests);
+  (match Audit.audit_file wal with
+  | Ok r ->
+      Alcotest.(check bool) "audits clean" true (Audit.ok r);
+      Alcotest.(check int) "every decision verified" r.Audit.decisions r.Audit.verified
+  | Error e -> Alcotest.failf "audit: %s" (Format.asprintf "%a" Trace_reader.pp_error e));
+  match Wal.recover ~dir ~policy:Admission.Rota () with
+  | Ok r ->
+      Wal.close r.Wal.writer;
+      Alcotest.(check int) "recovery diverges nowhere" 0 r.Wal.diverged
+  | Error m -> Alcotest.failf "recovering the mixed wal: %s" m
+
 let test_legacy_fixture name () =
   let path = Filename.concat "fixtures" name in
   let v = Trace_reader.validate_file path in
@@ -1047,6 +1158,8 @@ let () =
             test_replica_snapshot_roundtrip;
           Alcotest.test_case "tampered snapshot refused" `Quick
             test_snapshot_tamper_refused;
+          Alcotest.test_case "v1-stamped snapshot restores" `Quick
+            test_v1_snapshot_restores;
         ] );
       ( "unified",
         List.map QCheck_alcotest.to_alcotest
@@ -1058,5 +1171,6 @@ let () =
       ( "legacy",
         List.map
           (fun name -> Alcotest.test_case name `Quick (test_legacy_fixture name))
-          legacy_fixtures );
+          legacy_fixtures
+        @ [ Alcotest.test_case "mixed v1/v2 wal re-audits" `Quick test_mixed_digest_wal ] );
     ]
